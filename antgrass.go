@@ -124,37 +124,30 @@ type Options struct {
 	Pts Repr
 	// DiffProp enables difference propagation on the Naive and LCD
 	// solvers (Pearce et al.'s optimization; see the ablation study).
-	// Ignored under parallel solving, whose wave propagation computes
-	// deltas inherently.
+	// Ignored under parallel solving, whose owners propagate deltas
+	// inherently.
 	DiffProp bool
 	// BDDPoolNodes pre-sizes BDD pools (0 = default).
 	BDDPoolNodes int
-	// Workers ≥ 2 enables bulk-synchronous parallel propagation for the
-	// Naive and LCD solvers with bitmap points-to sets; any other
-	// configuration solves sequentially regardless of Workers. The
-	// points-to solution is identical for every worker count. 0 and 1
-	// mean sequential.
+	// Workers ≥ 2 enables parallel propagation for the Naive and LCD
+	// solvers with bitmap points-to sets: Workers owner goroutines
+	// exchange points-to deltas through mailboxes, with token-ring
+	// termination detection and no round barrier (docs/ALGORITHMS.md
+	// §Parallel solving). Any other configuration solves sequentially
+	// regardless of Workers. The points-to solution is identical for
+	// every worker count. 0 and 1 mean sequential.
 	Workers int
-	// Async switches the Naive/LCD parallel engine from bulk-synchronous
-	// rounds to asynchronous owner-sharded propagation with token-ring
-	// termination detection (docs/ALGORITHMS.md §Asynchronous
-	// propagation): max(Workers, 1) owner goroutines exchange points-to
-	// deltas through mailboxes with no round barrier. Honored under the
-	// same conditions as Workers (Naive/LCD, bitmap sets); the solution
-	// is identical to every other engine's.
-	Async bool
 	// Memo enables operation-level memoization (an MDE-style dedup
-	// engine): repeated unions, set differences, and offset-dereference
-	// expansions are answered from caches keyed on canonical interned set
-	// ids instead of recomputed. The sequential Naive/LCD/HT solvers use
-	// a full memo table over copy-on-write shares; the parallel engines
-	// (Workers ≥ 2, with or without Async) use owner-local delta-payload
-	// shards. Other configurations (PKH/PKW/BLQ, BDD sets) ignore the
-	// flag. The solution is bit-identical with and without it; the
-	// memo_hits / memo_misses / memo_evictions / memo_bytes counters in
-	// Metrics report cache effectiveness.
+	// engine) in the sequential Naive and LCD solvers: repeated unions,
+	// set differences, and offset-dereference expansions are answered
+	// from a cache keyed on canonical interned set ids instead of
+	// recomputed. Every other configuration — HT, PKH, PKW, BLQ, BDD
+	// sets, and parallel solving (Workers ≥ 2) — ignores the flag. The
+	// solution is bit-identical with and without it; the memo_hits /
+	// memo_misses / memo_evictions / memo_bytes counters in Metrics
+	// report cache effectiveness.
 	Memo bool
-	// Progress, when non-nil, is called at round boundaries of the
+	// Progress, when non-nil, is called at token-lap boundaries of the
 	// parallel solver (and periodically by the sequential Naive/LCD
 	// solvers) with a snapshot of solver progress. It runs on the
 	// solving goroutine and must return quickly.
@@ -238,9 +231,9 @@ func (r *Result) Rep(v VarID) VarID { return r.snap.Rep(v) }
 // session is created, solved, and closed — for callers that don't need
 // incremental updates.
 //
-// Cancellation is cooperative: the solvers check ctx at round boundaries
-// (the parallel engine), every few thousand worklist pops (the sequential
-// worklist solvers), or between fixpoint iterations (HT, PKH, BLQ). When
+// Cancellation is cooperative: the solvers check ctx every few thousand
+// worklist pops (the parallel owners and the sequential worklist
+// solvers) or between fixpoint iterations (HT, PKH, BLQ). When
 // ctx is canceled or its deadline passes, Solve returns an error wrapping
 // context.Canceled or context.DeadlineExceeded — test with errors.Is —
 // and never a partial Result.
@@ -253,13 +246,6 @@ func Solve(ctx context.Context, p *Program, o Options) (*Result, error) {
 	}
 	defer s.Close()
 	return s.Result(), nil
-}
-
-// SolveContext runs the configured analysis on p under ctx.
-//
-// Deprecated: Solve is now context-first; call Solve(ctx, p, o) directly.
-func SolveContext(ctx context.Context, p *Program, o Options) (*Result, error) {
-	return Solve(ctx, p, o)
 }
 
 // offlineStats collects the per-pass results of the offline constraint
@@ -317,7 +303,6 @@ func solveOnce(ctx context.Context, p *Program, o Options) (*core.Result, offlin
 		BDDPoolNodes: o.BDDPoolNodes,
 		DiffProp:     o.DiffProp,
 		Workers:      o.Workers,
-		Async:        o.Async,
 		Memo:         o.Memo,
 		Progress:     o.Progress,
 		Metrics:      o.Metrics,
@@ -379,13 +364,6 @@ func CompileC(src string, opts CGenOptions) (*Unit, error) {
 	return cgen.CompileWith(src, opts)
 }
 
-// CompileCWith is CompileC under its historical name.
-//
-// Deprecated: CompileC now takes the options struct directly.
-func CompileCWith(src string, opts CGenOptions) (*Unit, error) {
-	return CompileC(src, opts)
-}
-
 // GoOptions configures the Go front-end: a module directory and/or an
 // explicit package list (standard-library import paths resolve under
 // GOROOT). See internal/gogen and docs/GOFRONTEND.md.
@@ -445,19 +423,6 @@ func Workloads() []WorkloadInfo {
 			KLOC:        p.KLOC,
 			Constraints: p.Base + p.Simple + p.Complex,
 		}
-	}
-	return out
-}
-
-// WorkloadNames lists the available synthetic benchmark names in Table 2
-// order.
-//
-// Deprecated: use Workloads, which also carries descriptions.
-func WorkloadNames() []string {
-	ws := Workloads()
-	out := make([]string, len(ws))
-	for i, w := range ws {
-		out[i] = w.Name
 	}
 	return out
 }

@@ -197,9 +197,9 @@ func TestProgramRoundTripThroughFacade(t *testing.T) {
 }
 
 func TestWorkloadNames(t *testing.T) {
-	names := WorkloadNames()
-	if len(names) != 6 || names[0] != "emacs" || names[5] != "linux" {
-		t.Errorf("WorkloadNames = %v", names)
+	ws := Workloads()
+	if len(ws) != 6 || ws[0].Name != "emacs" || ws[5].Name != "linux" {
+		t.Errorf("Workloads = %v", ws)
 	}
 	if _, err := Workload("bogus", 1); err == nil {
 		t.Error("unknown workload must error")

@@ -107,11 +107,10 @@ func BenchmarkSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveParallel sweeps the wave engine's worker count on
-// ghostscript at scale 0.2 — the parallel-scaling target the
-// destination-sharded merge and the cost-model chunking are tuned
-// against. One sub-benchmark per worker count keeps the sweep diffable
-// with benchstat; docs/BENCHMARKS.md records the measured scaling table.
+// BenchmarkSolveParallel sweeps the parallel engine's worker count on
+// ghostscript at scale 0.2 (w1 is the sequential baseline). One
+// sub-benchmark per worker count keeps the sweep diffable with
+// benchstat.
 func BenchmarkSolveParallel(b *testing.B) {
 	p, err := Workload("ghostscript", solveScale)
 	if err != nil {
@@ -133,7 +132,8 @@ func BenchmarkSolveParallel(b *testing.B) {
 // for each Table 2 profile and reports the reduction percentage the paper
 // quotes (60-77%).
 func BenchmarkTable2Workloads(b *testing.B) {
-	for _, name := range WorkloadNames() {
+	for _, w := range Workloads() {
+		name := w.Name
 		b.Run(name, func(b *testing.B) {
 			var reduction float64
 			for i := 0; i < b.N; i++ {

@@ -4,37 +4,31 @@
 // Usage:
 //
 //	antbench [-scale 0.1] [-table N | -figure N | -stats | -all]
-//	         [-workers N] [-async] [-memo] [-timeout d] [-v]
-//	antbench -json [-out FILE] [-benches a,b] [-scale S] [-workers N] [-async] [-memo]
+//	         [-workers N] [-memo] [-timeout d] [-v]
+//	antbench -json [-out FILE] [-benches a,b] [-scale S] [-workers N] [-memo]
 //
 // -scale multiplies the paper's reduced constraint counts (1.0 = full
 // paper size; the default keeps a laptop run in minutes).
 //
 // -workers N prints the parallel-vs-sequential wall-clock comparison of
-// the bulk-synchronous wave engine at N workers (emacs and wine, naive /
-// lcd / lcd+hcd). The comparison defaults to scale 0.25 — large enough for
+// the parallel engine at N workers (emacs and wine, naive / lcd /
+// lcd+hcd). The comparison defaults to scale 0.25 — large enough for
 // multi-second solves — unless -scale is given explicitly. -timeout bounds
 // the whole antbench run.
 //
-// -async runs the async-vs-BSP sweep (lcd family, workers 1/2/4/8): each
-// cell solves the same program on the bulk-synchronous wave engine and on
-// the asynchronous owner-sharded engine, cross-checks the two solutions,
-// and reports wall times, speedup and the async engine's message-economy
-// counters. With -json the sweep lands in the report's async section.
-//
-// -memo runs the memoization sweep (lcd/ht families, sequential and
-// parallel): each cell solves the same program plain and with Options.Memo,
-// cross-checks the two solutions, and reports wall times, allocation
-// deltas and the memo engine's hit/miss/byte counters. With -json the
-// sweep lands in the report's memo section.
+// -memo runs the memoization sweep (the sequential lcd family): each cell
+// solves the same program plain and with Options.Memo, cross-checks the
+// two solutions, and reports wall times, allocation deltas and the memo
+// engine's hit/miss/byte counters. With -json the sweep lands in the
+// report's memo section.
 //
 // -json runs the instrumented algorithm matrix and writes a versioned,
 // machine-readable report (wall time, per-phase breakdown, peak memory,
 // cost counters per run) to BENCH_<timestamp>.json — or to -out — instead
 // of printing tables. -benches restricts it to a comma-separated workload
-// subset; with -workers N the wave-capable configurations are additionally
-// measured at N workers. Diff two reports with scripts/benchdiff.go (see
-// docs/BENCHMARKS.md).
+// subset; with -workers N the parallel-capable configurations are
+// additionally measured at N workers. Diff two reports with
+// scripts/benchdiff.go (see docs/BENCHMARKS.md).
 package main
 
 import (
@@ -67,8 +61,7 @@ func main() {
 	serveLoad := flag.Bool("serve", false, "with -json: also measure the analysis-as-a-service query path (QPS, p50/p99 latency per workload)")
 	serveReaders := flag.Int("serve-readers", 64, "concurrent readers for -serve")
 	serveDuration := flag.Duration("serve-duration", 2*time.Second, "storm duration per workload for -serve")
-	asyncSweep := flag.Bool("async", false, "measure the asynchronous owner-sharded engine against the BSP engine (lcd family, workers 1/2/4/8); with -json the sweep lands in the async section")
-	memoSweep := flag.Bool("memo", false, "measure operation memoization against plain solving (lcd/ht families, sequential and parallel); with -json the sweep lands in the memo section")
+	memoSweep := flag.Bool("memo", false, "measure operation memoization against plain solving (sequential lcd family); with -json the sweep lands in the memo section")
 	goFrontend := flag.Bool("go", false, "measure the real-Go front-end cells (module at -go-dir plus, with -go-std, the pinned stdlib set); with -json they land in the go_frontend section")
 	goDir := flag.String("go-dir", ".", "module directory for the -go self cell (empty = skip)")
 	goStd := flag.Bool("go-std", true, "with -go: include the pinned stdlib package cell")
@@ -126,9 +119,6 @@ func main() {
 		// fixpoint), so every report carries it; benchdiff gates on the
 		// HVN+HU win beyond OVS-only.
 		rep.Offline = h.OfflineRuns(names)
-		if *asyncSweep {
-			rep.Async = h.AsyncRuns(names, nil)
-		}
 		if *memoSweep {
 			rep.Memo = h.MemoRuns(names)
 		}
@@ -159,13 +149,6 @@ func main() {
 
 	if *goFrontend {
 		h.GoFrontendTable(out, *goDir, *goStd)
-		if *table == 0 && *figure == 0 && !*stats && !*ablations && !*precision && !*all && *workers == 0 && !*asyncSweep {
-			return
-		}
-	}
-
-	if *asyncSweep {
-		h.AsyncTable(out, h.AsyncRuns(nil, nil))
 		if *table == 0 && *figure == 0 && !*stats && !*ablations && !*precision && !*all && *workers == 0 && !*memoSweep {
 			return
 		}

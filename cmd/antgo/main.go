@@ -6,7 +6,7 @@
 // Usage:
 //
 //	antgo [-pkg list] [-tests] [-alg lcd] [-hcd] [-hvn] [-hu] [-ovs]
-//	      [-workers n] [-async] [-timeout d] [-callgraph] [-modref] [-transitive]
+//	      [-workers n] [-timeout d] [-callgraph] [-modref] [-transitive]
 //	      [-var name] [-emit file] [-stats] [dir]
 //
 // With a directory argument the module rooted there is analyzed (all its
@@ -41,7 +41,6 @@ func main() {
 	hu := flag.Bool("hu", true, "run offline HU value numbering")
 	ovs := flag.Bool("ovs", true, "run offline variable substitution")
 	workers := flag.Int("workers", 0, "parallel propagation workers (0 or 1 = sequential)")
-	async := flag.Bool("async", false, "use asynchronous owner-sharded propagation instead of bulk-synchronous rounds")
 	timeout := flag.Duration("timeout", 0, "abort the solve after this duration")
 	callgraph := flag.Bool("callgraph", false, "print the resolved call graph")
 	modref := flag.Bool("modref", false, "print MOD/REF side-effect summaries")
@@ -107,7 +106,6 @@ func main() {
 		HU:        *hu,
 		OVS:       *ovs,
 		Workers:   *workers,
-		Async:     *async,
 	})
 	if err != nil {
 		fatal(err)

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	antserve [-addr host:port] [-addrfile f]
-//	         [-alg lcd] [-hcd] [-hvn] [-hu] [-diff] [-workers n] [-async] [-memo]
+//	         [-alg lcd] [-hcd] [-hvn] [-hu] [-diff] [-workers n] [-memo]
 //	         (-f file.constraints | -c file.c | -go module-dir | -workload name [-scale s])
 //
 // Exactly one input source is required. -c compiles a C translation
@@ -52,7 +52,6 @@ func main() {
 	hu := flag.Bool("hu", false, "run offline HU value numbering before solving (updates replay)")
 	diff := flag.Bool("diff", false, "enable difference propagation")
 	workers := flag.Int("workers", 0, "parallel propagation workers (disables incremental resume)")
-	async := flag.Bool("async", false, "use asynchronous owner-sharded propagation (disables incremental resume)")
 	memoFlag := flag.Bool("memo", false, "memoize repeated unions, diffs and offset-derefs on canonical set ids (same solution)")
 	flag.Parse()
 
@@ -115,7 +114,6 @@ func main() {
 		HU:        *hu,
 		DiffProp:  *diff,
 		Workers:   *workers,
-		Async:     *async,
 		Memo:      *memoFlag,
 	}
 	fmt.Fprintf(os.Stderr, "antserve: solving %d vars, %d constraints (alg=%s hcd=%v hvn=%v hu=%v)\n",

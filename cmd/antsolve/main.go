@@ -3,7 +3,7 @@
 // Usage:
 //
 //	antsolve [-alg lcd] [-hcd] [-hvn] [-hu] [-ovs] [-pts bitmap|bdd] [-workers n]
-//	         [-async] [-memo] [-timeout d] [-stats] [-phases] [-print] [-var name]
+//	         [-memo] [-timeout d] [-stats] [-phases] [-print] [-var name]
 //	         [-cpuprofile f] [-memprofile f] file
 //	antsolve -lang=go [flags] module-dir | pkg,pkg,...
 //	antsolve -list
@@ -14,10 +14,9 @@
 // constraints are generated by the Go front end (docs/GOFRONTEND.md). With -print the full solution is dumped (one line per
 // variable with a non-empty points-to set); -var restricts output to one
 // variable by name. -workers ≥ 2 enables parallel propagation for the
-// naive and lcd solvers; -async switches the parallel engine from
-// bulk-synchronous rounds to asynchronous owner-sharded propagation with
-// token-ring termination (same solution, no round barrier); -timeout
-// aborts a runaway solve (exit status 1).
+// naive and lcd solvers (asynchronous owner-sharded propagation with
+// token-ring termination; same solution as sequential); -timeout aborts a
+// runaway solve (exit status 1).
 //
 // -phases prints the per-phase wall-clock breakdown recorded by the
 // metrics registry (graph build, cycle detection, propagation, ...).
@@ -46,7 +45,6 @@ func main() {
 	ovs := flag.Bool("ovs", false, "run offline variable substitution first (after -hvn/-hu)")
 	repr := flag.String("pts", "bitmap", "points-to representation: bitmap or bdd")
 	workers := flag.Int("workers", 0, "parallel propagation workers for naive/lcd (0 or 1 = sequential)")
-	async := flag.Bool("async", false, "use asynchronous owner-sharded propagation instead of bulk-synchronous rounds (naive/lcd with bitmap sets)")
 	memoFlag := flag.Bool("memo", false, "memoize repeated unions, diffs and offset-derefs on canonical set ids (same solution; see Options.Memo)")
 	timeout := flag.Duration("timeout", 0, "abort the solve after this duration (0 = no limit)")
 	stats := flag.Bool("stats", false, "print solver cost counters")
@@ -138,7 +136,6 @@ func main() {
 		OVS:       *ovs,
 		Pts:       antgrass.Repr(*repr),
 		Workers:   *workers,
-		Async:     *async,
 		Memo:      *memoFlag,
 		Metrics:   reg,
 	})

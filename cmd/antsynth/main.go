@@ -19,7 +19,11 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "linux", "profile: "+strings.Join(antgrass.WorkloadNames(), ", "))
+	var names []string
+	for _, w := range antgrass.Workloads() {
+		names = append(names, w.Name)
+	}
+	bench := flag.String("bench", "linux", "profile: "+strings.Join(names, ", "))
 	scale := flag.Float64("scale", 0.1, "constraint-count scale (1.0 = paper size)")
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()

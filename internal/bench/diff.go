@@ -49,18 +49,6 @@ type DiffOptions struct {
 	// 0 disables the drift gate (the error/empty checks still apply);
 	// cells missing on either side are exempt.
 	GoThresholdPercent float64
-	// AsyncThresholdPercent is the async-engine wall-clock slowdown above
-	// which a matched async cell counts as a regression (old vs new
-	// AsyncSeconds, same MinSeconds noise floor as the main wall gate).
-	// 0 disables the wall gate. Independent of the threshold, every async
-	// cell of the NEW report is hard-gated on the engine's defining
-	// properties: merge_share must be exactly 0 (the engine has no merge
-	// phase; a nonzero share means the barrier crept back in), the
-	// message count must be nonzero (a zero count means the counters —
-	// and therefore the economy benchdiff watches — are disconnected),
-	// and the cell must not carry an error (solve failure or solution
-	// mismatch against the BSP engine).
-	AsyncThresholdPercent float64
 	// MemoThresholdPercent is the minimum memo hit rate (in percent)
 	// every memo cell of the NEW report must clear: with a threshold of
 	// 20, a cell whose hits/(hits+misses) falls below 0.20 fails — a
@@ -72,14 +60,6 @@ type DiffOptions struct {
 	// gated against the old report's matched cell with the main
 	// ThresholdPercent and MinSeconds floor.
 	MemoThresholdPercent float64
-	// MergeShareMax fails any parallel run (workers > 0) of the NEW
-	// report whose merge_ns/(merge_ns+compute_ns) exceeds this fraction:
-	// the merge is the sequential-coupling phase of the wave engine, and
-	// a creeping merge share erodes scalability long before wall clock
-	// notices on small hosts. 0 disables the gate; cells without both
-	// counters (older builds) are exempt, as are cells below the
-	// MinSeconds floor.
-	MergeShareMax float64
 }
 
 // DiffEntry compares one run present in both reports.
@@ -98,9 +78,6 @@ type DiffEntry struct {
 	OldPeakBytes    uint64  `json:"old_peak_bytes,omitempty"`
 	NewPeakBytes    uint64  `json:"new_peak_bytes,omitempty"`
 	MemDeltaPercent float64 `json:"mem_delta_percent,omitempty"`
-	// MergeShare is merge_ns/(merge_ns+compute_ns) of the new run, for
-	// parallel cells that recorded both counters; -1 otherwise.
-	MergeShare float64 `json:"merge_share,omitempty"`
 	// Regression marks entries beyond a threshold (and above the noise
 	// floor); Why names the dimensions that tripped ("wall", "allocs",
 	// "peak-mem").
@@ -136,22 +113,6 @@ type OfflineDiffEntry struct {
 	RelativeDropPercent float64  `json:"relative_drop_percent"`
 	Regression          bool     `json:"regression"`
 	Why                 []string `json:"why,omitempty"`
-}
-
-// AsyncDiffEntry is the verdict on one async cell. Hard-gated cells
-// (merge share, messages, error) appear even when the cell is new; the
-// wall columns are populated only for cells present in both reports.
-type AsyncDiffEntry struct {
-	Key           string   `json:"key"`
-	OldSeconds    float64  `json:"old_seconds,omitempty"`
-	NewSeconds    float64  `json:"new_seconds,omitempty"`
-	DeltaPercent  float64  `json:"delta_percent,omitempty"` // positive = slower
-	NewMergeShare float64  `json:"new_merge_share"`
-	NewMessages   int64    `json:"new_messages"`
-	NewSpeedup    float64  `json:"new_speedup,omitempty"`
-	Regression    bool     `json:"regression"`
-	Why           []string `json:"why,omitempty"`
-	BelowFloor    bool     `json:"below_floor,omitempty"`
 }
 
 // MemoDiffEntry is the verdict on one memo cell. Hard-gated cells (hit
@@ -197,11 +158,6 @@ type DiffResult struct {
 	// in both reports (matched by bench). Empty when either report
 	// predates the offline section.
 	OfflineEntries []OfflineDiffEntry `json:"offline_entries,omitempty"`
-	// AsyncEntries holds one verdict per async cell of the NEW report
-	// (hard gates apply unconditionally; the wall gate applies to cells
-	// matched in the old report). Empty when the new report lacks the
-	// async section.
-	AsyncEntries []AsyncDiffEntry `json:"async_entries,omitempty"`
 	// MemoEntries holds one verdict per memo cell of the NEW report
 	// (hit-rate and error hard gates apply unconditionally; the wall gate
 	// applies to cells matched in the old report). Empty when the new
@@ -244,14 +200,6 @@ func DiffReports(old, new *Report, opts DiffOptions) *DiffResult {
 			OldSeconds: o.WallSeconds, NewSeconds: n.WallSeconds,
 			OldAllocs: o.Allocs, NewAllocs: n.Allocs,
 			OldPeakBytes: o.PeakHeapBytes, NewPeakBytes: n.PeakHeapBytes,
-			MergeShare: -1,
-		}
-		if n.Workers > 0 {
-			merge, okM := n.Counter("merge_ns")
-			compute, okC := n.Counter("compute_ns")
-			if okM && okC && merge+compute > 0 {
-				e.MergeShare = float64(merge) / float64(merge+compute)
-			}
 		}
 		if o.WallSeconds > 0 && n.WallSeconds > 0 {
 			e.DeltaPercent = (n.WallSeconds - o.WallSeconds) / o.WallSeconds * 100
@@ -272,9 +220,6 @@ func DiffReports(old, new *Report, opts DiffOptions) *DiffResult {
 					if opts.MemThresholdPercent > 0 && e.MemDeltaPercent > opts.MemThresholdPercent {
 						e.Why = append(e.Why, "peak-mem")
 					}
-				}
-				if opts.MergeShareMax > 0 && e.MergeShare >= 0 && e.MergeShare > opts.MergeShareMax {
-					e.Why = append(e.Why, "merge-share")
 				}
 				if len(e.Why) > 0 {
 					e.Regression = true
@@ -351,49 +296,6 @@ func DiffReports(old, new *Report, opts DiffOptions) *DiffResult {
 			}
 		}
 		res.OfflineEntries = append(res.OfflineEntries, e)
-	}
-
-	// Async cells: every cell of the NEW report is hard-gated on the async
-	// engine's defining properties — zero merge share, nonzero message
-	// traffic, no error — because those hold by construction on a correct
-	// engine, independent of host speed. The wall gate (AsyncSeconds old
-	// vs new) applies only to matched cells, with the usual noise floor.
-	asyncOld := map[string]AsyncRun{}
-	for _, r := range old.Async {
-		asyncOld[r.Key()] = r
-	}
-	for _, n := range new.Async {
-		e := AsyncDiffEntry{
-			Key:           n.Key(),
-			NewSeconds:    n.AsyncSeconds,
-			NewMergeShare: n.MergeShare,
-			NewMessages:   n.Messages,
-			NewSpeedup:    n.Speedup,
-		}
-		if n.Error != "" {
-			e.Why = append(e.Why, "async-error")
-		} else {
-			if n.MergeShare != 0 {
-				e.Why = append(e.Why, "async-merge-share")
-			}
-			if n.Messages <= 0 {
-				e.Why = append(e.Why, "async-no-messages")
-			}
-			if o, ok := asyncOld[n.Key()]; ok && o.Error == "" && o.AsyncSeconds > 0 && n.AsyncSeconds > 0 {
-				e.OldSeconds = o.AsyncSeconds
-				e.DeltaPercent = (n.AsyncSeconds - o.AsyncSeconds) / o.AsyncSeconds * 100
-				if opts.MinSeconds > 0 && o.AsyncSeconds < opts.MinSeconds && n.AsyncSeconds < opts.MinSeconds {
-					e.BelowFloor = true
-				} else if opts.AsyncThresholdPercent > 0 && e.DeltaPercent > opts.AsyncThresholdPercent {
-					e.Why = append(e.Why, "async-wall")
-				}
-			}
-		}
-		if len(e.Why) > 0 {
-			e.Regression = true
-			res.Regressions++
-		}
-		res.AsyncEntries = append(res.AsyncEntries, e)
 	}
 
 	// Memo cells: every cell of the NEW report is hard-gated on no error
@@ -496,7 +398,7 @@ func abs(x float64) float64 {
 // Print renders the diff as a human-readable table.
 func (d *DiffResult) Print(w io.Writer) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "run\told\tnew\tdelta\tallocs\tpeak\tmerge\t\n")
+	fmt.Fprintf(tw, "run\told\tnew\tdelta\tallocs\tpeak\t\n")
 	for _, e := range d.Entries {
 		verdict := ""
 		switch {
@@ -508,18 +410,15 @@ func (d *DiffResult) Print(w io.Writer) {
 		case e.BelowFloor:
 			verdict = "(below noise floor)"
 		}
-		allocCol, memCol, mergeCol := "-", "-", "-"
+		allocCol, memCol := "-", "-"
 		if e.OldAllocs > 0 && e.NewAllocs > 0 {
 			allocCol = fmt.Sprintf("%+.1f%%", e.AllocDeltaPercent)
 		}
 		if e.OldPeakBytes > 0 && e.NewPeakBytes > 0 {
 			memCol = fmt.Sprintf("%+.1f%%", e.MemDeltaPercent)
 		}
-		if e.MergeShare >= 0 {
-			mergeCol = fmt.Sprintf("%.0f%%", e.MergeShare*100)
-		}
-		fmt.Fprintf(tw, "%s\t%.3fs\t%.3fs\t%+.1f%%\t%s\t%s\t%s\t%s\n",
-			e.Key, e.OldSeconds, e.NewSeconds, e.DeltaPercent, allocCol, memCol, mergeCol, verdict)
+		fmt.Fprintf(tw, "%s\t%.3fs\t%.3fs\t%+.1f%%\t%s\t%s\t%s\n",
+			e.Key, e.OldSeconds, e.NewSeconds, e.DeltaPercent, allocCol, memCol, verdict)
 	}
 	tw.Flush()
 	if len(d.ServeEntries) > 0 {
@@ -552,31 +451,6 @@ func (d *DiffResult) Print(w io.Writer) {
 			}
 			fmt.Fprintf(tw, "%s\t%.1f%%\t%.1f%%\t%+.1f%%\t%s\n",
 				e.Key, e.OldExtraPercent, e.NewExtraPercent, e.RelativeDropPercent, verdict)
-		}
-		tw.Flush()
-	}
-	if len(d.AsyncEntries) > 0 {
-		tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintf(tw, "async cell\told\tnew\tdelta\tmerge\tmessages\tspeedup\t\n")
-		for _, e := range d.AsyncEntries {
-			verdict := ""
-			switch {
-			case e.Regression:
-				verdict = "REGRESSION"
-				for _, why := range e.Why {
-					verdict += " " + why
-				}
-			case e.BelowFloor:
-				verdict = "(below noise floor)"
-			}
-			oldCol, deltaCol := "-", "-"
-			if e.OldSeconds > 0 {
-				oldCol = fmt.Sprintf("%.3fs", e.OldSeconds)
-				deltaCol = fmt.Sprintf("%+.1f%%", e.DeltaPercent)
-			}
-			fmt.Fprintf(tw, "%s\t%s\t%.3fs\t%s\t%.0f%%\t%d\t%.2fx\t%s\n",
-				e.Key, oldCol, e.NewSeconds, deltaCol, e.NewMergeShare*100,
-				e.NewMessages, e.NewSpeedup, verdict)
 		}
 		tw.Flush()
 	}

@@ -14,31 +14,20 @@ import (
 )
 
 // MemoConfig is one solver configuration of the memo sweep. Unlike AlgoID
-// it carries the engine knobs the memo layer specializes on: difference
-// propagation (the sequential diff-memo path), worker count (the owner
-// shards) and async (the owner-goroutine shards).
+// it carries difference propagation, which the memo table specializes on
+// (the diff-memo path).
 type MemoConfig struct {
-	Name    string
-	Alg     core.Algorithm
-	HCD     bool
-	Diff    bool
-	Workers int
-	Async   bool
+	Name string
+	Alg  core.Algorithm
+	HCD  bool
+	Diff bool
 }
 
-// MemoConfigs are the configurations the memo sweep measures: the lcd and
-// ht families the tentpole targets (the sequential memo table), plus the
-// async lcd engine (the owner-local shards, which see the same delta
-// payloads redelivered across mailbox batches). The bulk-synchronous
-// engine's shard is deliberately absent: its per-round destination-sharded
-// deltas are nearly always fresh, so its hit rate is structurally near
-// zero and would only feed noise into benchdiff's hit-rate floor — the
-// oracle matrix and check.sh still pin its correctness.
+// MemoConfigs are the configurations the memo sweep measures: the
+// sequential lcd family, the only solvers Options.Memo serves.
 var MemoConfigs = []MemoConfig{
 	{Name: "lcd+hcd", Alg: core.LCD, HCD: true},
 	{Name: "lcd+hcd+diff", Alg: core.LCD, HCD: true, Diff: true},
-	{Name: "ht", Alg: core.HT},
-	{Name: "lcd+hcd", Alg: core.LCD, HCD: true, Workers: 4, Async: true},
 }
 
 // MemoRun is one (workload, configuration) cell of the memo sweep: the
@@ -46,10 +35,12 @@ var MemoConfigs = []MemoConfig{
 // the solutions cross-checked element by element, the wall/allocation
 // deltas, and the memo engine's own effectiveness counters.
 type MemoRun struct {
-	Bench   string `json:"bench"`
-	Algo    string `json:"algo"`
-	Workers int    `json:"workers"`
-	Async   bool   `json:"async,omitempty"`
+	Bench string `json:"bench"`
+	Algo  string `json:"algo"`
+	// Workers is always 0 (memoization serves the sequential solvers); it
+	// stays in the key so cells never match the parallel memo cells older
+	// reports carried.
+	Workers int `json:"workers"`
 	// PlainSeconds / MemoSeconds are the wall-clock times of the two
 	// solves; Speedup is PlainSeconds/MemoSeconds (above 1.0 means the
 	// memoized solve was faster).
@@ -75,11 +66,7 @@ type MemoRun struct {
 
 // Key identifies a memo cell for cross-report matching.
 func (r MemoRun) Key() string {
-	suffix := ""
-	if r.Async {
-		suffix = "+async"
-	}
-	return fmt.Sprintf("%s/%s/w%d%s/memo", r.Bench, r.Algo, r.Workers, suffix)
+	return fmt.Sprintf("%s/%s/w%d/memo", r.Bench, r.Algo, r.Workers)
 }
 
 // MemoRuns measures the memo sweep: MemoConfigs over the benchmark set
@@ -107,15 +94,13 @@ func (h *Harness) MemoRuns(benches []string) []MemoRun {
 
 // memoRun measures one plain-vs-memo pair.
 func (h *Harness) memoRun(bench string, prog *constraint.Program, c MemoConfig, table *hcd.Result) MemoRun {
-	run := MemoRun{Bench: bench, Algo: c.Name, Workers: c.Workers, Async: c.Async}
+	run := MemoRun{Bench: bench, Algo: c.Name}
 	opts := core.Options{
 		Algorithm:    c.Alg,
 		WithHCD:      c.HCD,
 		HCDTable:     table,
 		DiffProp:     c.Diff,
 		BDDPoolNodes: h.PoolNodes,
-		Workers:      c.Workers,
-		Async:        c.Async,
 	}
 
 	var ms0, ms1 runtime.MemStats
@@ -171,8 +156,8 @@ func (h *Harness) memoRun(bench string, prog *constraint.Program, c MemoConfig, 
 	}
 	run.Evictions = counter("memo_evictions")
 	run.MemoBytes = counter("memo_bytes")
-	h.logf("  %-12s %-14s w%-2d plain %7.3fs  memo %7.3fs  %5.2fx  %.0f%% hits\n",
-		bench, run.Algo, c.Workers, run.PlainSeconds, run.MemoSeconds, run.Speedup, run.HitRate*100)
+	h.logf("  %-12s %-14s plain %7.3fs  memo %7.3fs  %5.2fx  %.0f%% hits\n",
+		bench, run.Algo, run.PlainSeconds, run.MemoSeconds, run.Speedup, run.HitRate*100)
 	return run
 }
 
@@ -180,22 +165,18 @@ func (h *Harness) memoRun(bench string, prog *constraint.Program, c MemoConfig, 
 func (h *Harness) MemoTable(w io.Writer, runs []MemoRun) {
 	fmt.Fprintf(w, "Operation memoization vs plain solving (scale=%g)\n", h.Scale)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "\t\tworkers\tplain\tmemo\tspeedup\thit rate\tallocs\tbytes\n")
+	fmt.Fprintf(tw, "\t\tplain\tmemo\tspeedup\thit rate\tallocs\tbytes\n")
 	for _, r := range runs {
 		if r.Error != "" {
-			fmt.Fprintf(tw, "%s\t%s\tw%d\tERROR: %s\n", r.Bench, r.Algo, r.Workers, r.Error)
+			fmt.Fprintf(tw, "%s\t%s\tERROR: %s\n", r.Bench, r.Algo, r.Error)
 			continue
-		}
-		name := r.Algo
-		if r.Async {
-			name += "+async"
 		}
 		allocDelta := 0.0
 		if r.PlainAllocs > 0 {
 			allocDelta = (float64(r.MemoAllocs) - float64(r.PlainAllocs)) / float64(r.PlainAllocs) * 100
 		}
-		fmt.Fprintf(tw, "%s\t%s\tw%d\t%.3fs\t%.3fs\t%.2fx\t%.0f%%\t%+.1f%%\t%.1f MB\n",
-			r.Bench, name, r.Workers, r.PlainSeconds, r.MemoSeconds, r.Speedup,
+		fmt.Fprintf(tw, "%s\t%s\t%.3fs\t%.3fs\t%.2fx\t%.0f%%\t%+.1f%%\t%.1f MB\n",
+			r.Bench, r.Algo, r.PlainSeconds, r.MemoSeconds, r.Speedup,
 			r.HitRate*100, allocDelta, float64(r.MemoBytes)/(1<<20))
 	}
 	tw.Flush()

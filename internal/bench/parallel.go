@@ -11,7 +11,7 @@ import (
 )
 
 // ParallelAlgos are the configurations the parallel engine accelerates,
-// in table row order: the two wave-capable solvers plus the paper's
+// in table row order: the two parallel-capable solvers plus the paper's
 // headline combination.
 var ParallelAlgos = []AlgoID{
 	{Name: "naive", Alg: core.Naive},
@@ -25,14 +25,14 @@ var ParallelAlgos = []AlgoID{
 var ParallelBenches = []string{"emacs", "wine"}
 
 // ParallelTable prints a parallel-vs-sequential wall-clock comparison for
-// the wave engine at the given worker count: per (workload, algorithm),
+// the parallel engine at the given worker count: per (workload, algorithm),
 // the sequential solve time, the parallel solve time, and the speedup
 // (sequential / parallel; above 1.0 means the parallel run was faster).
 // Both runs solve the same generated program, and the solutions are
 // cross-checked cell by cell — a mismatch aborts the process, since a
 // benchmark of wrong answers is worse than no benchmark.
 func (h *Harness) ParallelTable(w io.Writer, workers int) {
-	fmt.Fprintf(w, "Parallel wave propagation vs sequential (workers=%d, scale=%g)\n", workers, h.Scale)
+	fmt.Fprintf(w, "Parallel propagation vs sequential (workers=%d, scale=%g)\n", workers, h.Scale)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "\t\tsequential\tparallel\tspeedup\n")
 	for _, p := range h.Profiles() {
@@ -80,6 +80,14 @@ func contains(xs []string, x string) bool {
 
 // checkSameSolution verifies two runs computed identical points-to sets.
 func checkSameSolution(bench, algo string, nVars int, a, b *core.Result) {
+	if msg := sameSolution(nVars, a, b); msg != "" {
+		panic(fmt.Sprintf("bench: %s/%s: parallel and sequential disagree on %s", bench, algo, msg))
+	}
+}
+
+// sameSolution compares two solutions variable by variable and describes
+// the first difference ("" when identical).
+func sameSolution(nVars int, a, b *core.Result) string {
 	for v := uint32(0); v < uint32(nVars); v++ {
 		sa, sb := a.PointsTo(v), b.PointsTo(v)
 		la, lb := 0, 0
@@ -90,14 +98,11 @@ func checkSameSolution(bench, algo string, nVars int, a, b *core.Result) {
 			lb = sb.Len()
 		}
 		if la != lb {
-			panic(fmt.Sprintf("bench: %s/%s: parallel and sequential disagree on |pts(v%d)|: %d vs %d",
-				bench, algo, v, la, lb))
+			return fmt.Sprintf("|pts(v%d)|: %d vs %d", v, la, lb)
 		}
-		if la == 0 {
-			continue
-		}
-		if !sa.Equal(sb) {
-			panic(fmt.Sprintf("bench: %s/%s: parallel and sequential disagree on pts(v%d)", bench, algo, v))
+		if la > 0 && !sa.Equal(sb) {
+			return fmt.Sprintf("pts(v%d)", v)
 		}
 	}
+	return ""
 }

@@ -16,6 +16,10 @@ import (
 // ReportSchemaVersion identifies the BENCH_*.json layout. History:
 //
 //	1 — initial schema: host block, per-run wall/phases/counters/peaks.
+//	    Optional sections have been added since (serve_load, offline,
+//	    memo, go_frontend) and one dropped (async, the sweep of a
+//	    parallel engine that no longer exists); readers treat a missing
+//	    section as not measured, so neither bumps the version.
 //
 // Consumers (scripts/benchdiff.go, CI) must refuse versions they do not
 // know; producers bump this when a field changes meaning or is removed
@@ -44,13 +48,6 @@ type Report struct {
 	// schema stays 1, and benchdiff's offline gate applies only to
 	// benches present in both reports.
 	Offline []OfflineRun `json:"offline,omitempty"`
-	// Async holds the async-engine sweep (the lcd family solved on the
-	// bulk-synchronous and the asynchronous owner-sharded engines at each
-	// worker count, with the async engine's message-economy counters).
-	// Additive: absent unless -async ran, schema stays 1, and benchdiff's
-	// async gates apply to the new report's section (hard gates) and to
-	// cells present in both reports (wall gate).
-	Async []AsyncRun `json:"async,omitempty"`
 	// Memo holds the operation-memoization sweep (MemoConfigs solved
 	// plain and with Options.Memo, solutions cross-checked, with the memo
 	// engine's hit/miss/eviction/bytes counters). Additive: absent unless
@@ -131,7 +128,7 @@ func (r Run) Key() string {
 // Counter returns the named cost counter of the run and whether it was
 // recorded. Reports from older builds simply lack newer counters, so
 // consumers gate on the second return instead of treating zero as
-// missing (zero is a legitimate value for e.g. steals).
+// missing (zero is a legitimate value for e.g. nodes_collapsed).
 func (r Run) Counter(name string) (int64, bool) {
 	for _, c := range r.Counters {
 		if c.Name == name {
@@ -154,7 +151,7 @@ func hostInfo() Host {
 // Report runs the algorithm matrix with full instrumentation and returns
 // the machine-readable report. benches filters workloads (nil = all six);
 // algos is the configuration list (nil = AllAlgos, the Table 3 bitmap
-// matrix); workers > 0 additionally measures each wave-capable
+// matrix); workers > 1 additionally measures each parallel-capable
 // configuration (ParallelAlgos) at that worker count. now stamps
 // GeneratedAt.
 func (h *Harness) Report(benches []string, algos []AlgoID, workers int, now time.Time) *Report {

@@ -80,8 +80,8 @@ func (b *Bitmap) Elements() int { return b.n }
 func (b *Bitmap) MemBytes() int { return b.n*ElemBytes + 48 }
 
 // Gen returns the bitmap's content generation: a counter bumped by every
-// mutation that changes which bits are set (Set, Clear, ClearAll, Detach,
-// the Ior/And family). Derived values computed from the bitmap — content
+// mutation that changes which bits are set (Set, Clear, ClearAll, the
+// Ior/And family). Derived values computed from the bitmap — content
 // hashes, interned identities — stay valid exactly while Gen is unchanged,
 // which is what lets the pts layer cache them without re-reading the
 // elements. Reads (Test, iteration, Copy) never advance it, and a fresh
@@ -104,20 +104,6 @@ func (b *Bitmap) ClearAll() {
 			b.pool.put(e)
 			e = next
 		}
-	}
-	b.first, b.last, b.current, b.n = nil, nil, nil, 0
-}
-
-// Detach empties the bitmap in O(1) by dropping its element list without
-// returning the elements anywhere. It is the companion of Pool.Reset:
-// when every bitmap drawing from a pool is dead, detaching them and
-// resetting the pool reclaims all elements wholesale instead of walking
-// each list — and hands them out again in address order. Using Detach
-// without a matching Pool.Reset leaks the elements (they stay allocated
-// until the pool is garbage).
-func (b *Bitmap) Detach() {
-	if b.first != nil {
-		b.gen++
 	}
 	b.first, b.last, b.current, b.n = nil, nil, nil, 0
 }
@@ -278,9 +264,9 @@ func (b *Bitmap) TestRO(x uint32) bool {
 //     bitmap through it requires Reset first;
 //   - ANY mutation of the bitmap invalidates its cursors — with element
 //     pooling a stale cursor may point to an element recycled into
-//     another bitmap, so the rule is strict. The read-only phases the
-//     parallel engine runs (graph frozen, workers probing) are exactly
-//     the windows in which cursors are valid.
+//     another bitmap, so the rule is strict. Cursors suit bitmaps that
+//     are frozen while readers probe them, such as the shared backings
+//     of published snapshots.
 //
 // The zero value is a valid empty cursor.
 type Cursor struct {

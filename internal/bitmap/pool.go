@@ -15,21 +15,15 @@ package bitmap
 //
 // A Pool is NOT safe for concurrent use. Every bitmap drawing from a pool
 // must be mutated only by the goroutine that owns the pool; the parallel
-// engine gives each worker a private pool and keeps the shared graph's
-// pool on the merge goroutine (see internal/par and internal/core).
+// engine gives each owner a private pool and touches the shared graph's
+// pool only from the arbiter while the owners are paused (see internal/par
+// and internal/core).
 //
 // A nil *Pool is valid and means "no pooling": every element is a fresh
 // heap allocation and freed elements are left to the garbage collector,
 // which is the pre-pool behavior of this package.
 type Pool struct {
-	free *element // singly-linked through next
-
-	// chunks retains every chunk allocation so Reset can rebuild the
-	// free list in address order. Retention costs nothing extra: a chunk
-	// stays reachable anyway while any of its elements is referenced by
-	// a bitmap or the free list.
-	chunks [][]element
-
+	free  *element // singly-linked through next
 	stats PoolStats
 }
 
@@ -73,7 +67,6 @@ func (p *Pool) get(idx uint32) *element {
 	e := p.free
 	if e == nil {
 		chunk := make([]element, chunkElems)
-		p.chunks = append(p.chunks, chunk)
 		p.stats.Chunks++
 		for i := range chunk[1:] {
 			chunk[i+1].next = p.free
@@ -101,32 +94,6 @@ func (p *Pool) put(e *element) {
 	e.bits = [ElemWords]uint64{}
 	e.next = p.free
 	p.free = e
-}
-
-// Reset reclaims every element the pool has ever handed out and rebuilds
-// the free list in address order, so the next run of gets is served from
-// contiguous ascending memory — the traversal-locality property fresh
-// chunk allocations have and a churned free list loses. The caller must
-// guarantee that no live bitmap still references the pool's elements
-// (Bitmap.Detach drops such references in O(1)); the parallel engine
-// calls Reset once per round after the merge has copied every
-// worker-side buffer out.
-//
-// Reset counts the reclaimed elements as Puts, so Gets - Puts (elements
-// currently live) stays meaningful across resets.
-func (p *Pool) Reset() {
-	if p == nil {
-		return
-	}
-	p.stats.Puts += p.stats.Gets - p.stats.Puts
-	p.free = nil
-	for ci := len(p.chunks) - 1; ci >= 0; ci-- {
-		chunk := p.chunks[ci]
-		for i := len(chunk) - 1; i >= 0; i-- {
-			chunk[i] = element{next: p.free}
-			p.free = &chunk[i]
-		}
-	}
 }
 
 // FreeLen returns the number of elements parked on the free list: every

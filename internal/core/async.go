@@ -4,44 +4,40 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"time"
 
 	"antgrass/internal/bitmap"
-	"antgrass/internal/memo"
 	"antgrass/internal/par"
 	"antgrass/internal/pts"
 	"antgrass/internal/worklist"
 )
 
-// solveAsync runs the Naive (lazy=false) or LCD (lazy=true) algorithm with
-// asynchronous owner-computes propagation (par.AsyncEngine): one persistent
-// goroutine per owner partition (owner(n) = n mod owners), each draining a
-// private dirty queue and mailbox, applying work against owner-congruent
-// graph state and forwarding generated deltas directly to destination
-// owners — no frontier, no barrier, no merge phase. Termination is a
-// Dijkstra–Safra token ring; union-find mutation serializes through the
-// arbiter's global pause. See docs/ALGORITHMS.md §Asynchronous propagation
-// for the ownership and termination arguments.
+// solveAsync is the parallel solver: it runs the Naive (lazy=false) or LCD
+// (lazy=true) algorithm with asynchronous owner-computes propagation
+// (par.AsyncEngine) on Options.Workers owners. Each owner is a persistent
+// goroutine over one partition of the nodes (owner(n) = n mod owners),
+// draining a private dirty queue and mailbox, applying work against
+// owner-congruent graph state and forwarding generated deltas directly to
+// destination owners — no frontier, no barrier, no merge phase.
+// Termination is a Dijkstra–Safra token ring; union-find mutation
+// serializes through the arbiter's global pause. See docs/ALGORITHMS.md
+// §Parallel solving for the ownership and termination arguments.
 //
-// The state split mirrors the bulk-synchronous solver exactly: pts(n),
-// propagated(n), resolved(n), succs(n) and n's dirty membership are
-// touched only by owner(n); loads/stores/hcdTargets/span are read-only on
-// owner goroutines at owned indices; the union-find is read via FindRO
-// between pauses and mutated only under a pause. The solution is the same
-// least fixpoint every other solver computes.
+// The state split: pts(n), propagated(n), resolved(n), succs(n) and n's
+// dirty membership are touched only by owner(n); loads/stores/hcdTargets/
+// span are read-only on owner goroutines at owned indices; the union-find
+// is read via FindRO between pauses and mutated only under a pause. The
+// solution is the same least fixpoint every other solver computes.
 func solveAsync(ctx context.Context, g *graph, opts Options, lazy bool) error {
 	owners := opts.Workers
-	if owners < 1 {
-		owners = 1
-	}
-	// Difference propagation is structural here, as in the BSP engine:
-	// allocating the markers also makes unite() reset them on collapse.
+	// Difference propagation is structural here: owners push only the part
+	// of a set not yet propagated, and allocating the markers also makes
+	// unite() reset them on collapse.
 	g.propagated = make([]pts.Set, g.n)
 	g.resolved = make([]pts.Set, g.n)
 	if g.hcdTargets != nil {
 		g.hcdResolved = make([]pts.Set, g.n)
 	}
-	s := newAsyncState(g, owners, lazy, opts.Memo)
+	s := newAsyncState(g, owners, lazy)
 	eng := par.NewAsyncEngine(ctx, owners, s)
 	s.eng = eng
 	eng.OnLap = func(lap int64) {
@@ -64,34 +60,18 @@ func solveAsync(ctx context.Context, g *graph, opts Options, lazy bool) error {
 			s.ow[s.owner(r)].dirty.Push(r)
 		}
 	}
-	start := time.Now()
 	if err := eng.Run(); err != nil {
-		return canceled(err, "asynchronous propagation")
+		return canceled(err, "parallel propagation")
 	}
-	runNS := time.Since(start).Nanoseconds()
 	// Fold the owner-private counters (Run's WaitGroup join orders these
 	// reads after every owner write).
 	for i := range s.ow {
 		g.stats.Propagations += s.ow[i].propagations
 		g.stats.EdgesAdded += s.ow[i].edgesAdded
-		if sh := s.ow[i].memo; sh != nil {
-			g.memoStats.Add(sh.Stats())
-			sh.Release()
-		}
 	}
 	st := eng.Stats()
 	g.stats.Rounds = st.TokenLaps
 	if g.metrics != nil {
-		// There is no merge phase: everything outside the arbiter's cycle
-		// and HCD work is concurrent compute. Publishing merge_ns = 0 is
-		// the report-visible form of the tentpole claim (benchdiff gates
-		// merge_share == 0 on it).
-		g.computeNS = runNS - g.cycleNS - g.hcdNS
-		if g.computeNS < 0 {
-			g.computeNS = 0
-		}
-		g.metrics.SetCounter("merge_ns", 0)
-		g.metrics.SetCounter("compute_ns", g.computeNS)
 		g.metrics.SetCounter("async.messages", st.Messages)
 		g.metrics.SetCounter("async.token_laps", st.TokenLaps)
 		g.metrics.SetCounter("async.pauses", st.Pauses)
@@ -138,7 +118,6 @@ type asyncOwnerState struct {
 	dirty *worklist.Frontier
 	out   []*par.Batch // per-destination owner (index < owners) buffers
 	cand  *par.Batch   // arbiter-bound candidate buffer
-	memo  *memo.Shard  // owner-local delta memo, nil unless Options.Memo
 
 	work *bitmap.Bitmap // scratch: set \ propagated of the current node
 	res  *bitmap.Bitmap // scratch: set \ resolved of the current node
@@ -148,7 +127,7 @@ type asyncOwnerState struct {
 	resScratch  []uint32
 
 	// fired dedups LCD candidate sends per (src, dst) pair — the owner-side
-	// mirror of the BSP engine's global fired map; hcdPending dedups HCD
+	// mirror of the arbiter's global fired map; hcdPending dedups HCD
 	// candidate sends per node until the next pause re-arms it.
 	fired      map[uint64]bool
 	hcdPending map[uint32]bool
@@ -174,12 +153,12 @@ type asyncState struct {
 	// awaiting the next pause, and the representatives to recheck after it.
 	candQ    [][2]uint32
 	hcdQ     []uint32
-	fired    map[uint64]bool // global candidate dedup, as in the BSP epilogue
+	fired    map[uint64]bool // global candidate dedup: each pair fires once per solve
 	hcdSeen  map[uint32]bool
 	rechecks map[uint32]struct{}
 }
 
-func newAsyncState(g *graph, owners int, lazy, useMemo bool) *asyncState {
+func newAsyncState(g *graph, owners int, lazy bool) *asyncState {
 	s := &asyncState{
 		g:        g,
 		owners:   owners,
@@ -199,9 +178,6 @@ func newAsyncState(g *graph, owners int, lazy, useMemo bool) *asyncState {
 		ow.hcd = bitmap.NewIn(ow.pool)
 		ow.fired = make(map[uint64]bool)
 		ow.hcdPending = make(map[uint32]bool)
-		if useMemo {
-			ow.memo = memo.NewShard(ow.pool)
-		}
 	}
 	return s
 }
@@ -213,8 +189,9 @@ func (s *asyncState) owner(n uint32) int { return int(n % uint32(s.owners)) }
 // unresolved parts of its set, push the delta along every copy edge
 // (locally for same-owner successors, as a shared-payload message
 // otherwise), record the propagated/resolved bookkeeping, then apply the
-// resolution edges — the same effect order as the BSP applier, so a local
-// self-edge clears propagated AFTER the |= and fully requeues the node.
+// resolution edges. The order matters: a local edge inserted by the
+// resolution step clears propagated AFTER the |=, so the node is fully
+// requeued and the new edge receives the whole set.
 func (s *asyncState) Step(w int) bool {
 	ow := &s.ow[w]
 	n, ok := ow.dirty.Pop()
@@ -253,12 +230,13 @@ func (s *asyncState) Step(w int) bool {
 		}
 		ow.hcd.ClearAll()
 		if ow.hcd.IorDiffWith(bm, hrBM) {
-			// Apply-before-process, like the BSP pop loop: the offline table
-			// proved these pointees merge, and every load/store edge realized
-			// before the merge lands is an edge between nodes that are about
-			// to become one. Park n until the next pause fires the rule (it
-			// stamps hcdResolved and mails n a recheck), and yield so the
-			// arbiter is not stuck behind this owner's scheduler slice.
+			// Apply-before-process, as the sequential HCD solver does: the
+			// offline table proved these pointees merge, and every load/store
+			// edge realized before the merge lands is an edge between nodes
+			// that are about to become one. Park n until the next pause fires
+			// the rule (it stamps hcdResolved and mails n a recheck), and
+			// yield so the arbiter is not stuck behind this owner's scheduler
+			// slice.
 			s.bufferHCD(w, n)
 			ow.dirty.Push(n)
 			runtime.Gosched()
@@ -366,13 +344,13 @@ func (s *asyncState) Apply(w int, b *par.Batch) {
 // applyDeltaLocal ors bits into pts(dst), dst owned by w, for a delta whose
 // source belongs to another owner. A delta that adds nothing nominates
 // (src, dst) as an LCD cycle candidate when the two sets are plausibly
-// equal — the receiver cannot read the sender-owned pts(src), so the BSP
-// trigger's full-set equality check degrades to comparing |pts(dst)|
-// against the SrcLen that rode on the message. The trigger is heuristic
-// either way: detectAndCollapse only collapses true cycles, so a spurious
-// nomination costs a search, never soundness — but dropping the filter
-// floods the arbiter with candidates from every subsumed delta on the
-// dense core of the graph.
+// equal — the receiver cannot read the sender-owned pts(src), so LCD's
+// full-set equality check degrades to comparing |pts(dst)| against the
+// SrcLen that rode on the message. The trigger is heuristic either way:
+// detectAndCollapse only collapses true cycles, so a spurious nomination
+// costs a search, never soundness — but dropping the filter floods the
+// arbiter with candidates from every subsumed delta on the dense core of
+// the graph.
 func (s *asyncState) applyDeltaLocal(w int, src, dst uint32, srcLen uint32, bits *bitmap.Bitmap) {
 	set, grew := s.iorDelta(w, dst, bits)
 	if grew {
@@ -389,8 +367,8 @@ func (s *asyncState) applyDeltaLocal(w int, src, dst uint32, srcLen uint32, bits
 }
 
 // applyDeltaLocalFrom is applyDeltaLocal for a same-owner delta: the source
-// set is owned by w too, so the LCD trigger can run the BSP engine's exact
-// full-set equality check instead of the size heuristic.
+// set is owned by w too, so the LCD trigger can run the exact full-set
+// equality check of the sequential solver instead of the size heuristic.
 func (s *asyncState) applyDeltaLocalFrom(w int, src, dst uint32, srcSet pts.Set, bits *bitmap.Bitmap) {
 	set, grew := s.iorDelta(w, dst, bits)
 	if grew {
@@ -410,17 +388,6 @@ func (s *asyncState) iorDelta(w int, dst uint32, bits *bitmap.Bitmap) (pts.Set, 
 	if set == nil {
 		set = pts.NewSetIn(g.factory, ow.pool)
 		g.sets[dst] = set
-	}
-	// The owner shard subsumes repeated (node, payload) deltas — the async
-	// engine's redelivery pattern (rechecks, re-propagated edges) makes
-	// them common — without walking either bitmap.
-	if ow.memo != nil {
-		if ch, okM := ow.memo.Apply(dst, set, bits); okM {
-			if ch {
-				ow.dirty.Push(dst)
-			}
-			return set, ch
-		}
 	}
 	bm, _ := pts.MutableBitmapIn(set, ow.pool)
 	if bm.IorWith(bits) {
@@ -564,8 +531,8 @@ func (s *asyncState) Flush(w int) {
 }
 
 // Stash records a candidate batch on the arbiter, deduplicating against
-// everything already fired (the global fired map matches the BSP
-// epilogue's, so the two engines make the same one-shot guarantee).
+// everything already fired: like the sequential LCD trigger, each (src,
+// dst) pair nominates at most one cycle search per solve.
 func (s *asyncState) Stash(b *par.Batch) {
 	for _, c := range b.Cands {
 		key := uint64(c[0])<<32 | uint64(c[1])

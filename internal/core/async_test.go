@@ -6,111 +6,30 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"antgrass/internal/pts"
 )
 
-// TestAsyncMatchesOracle cross-checks the asynchronous owner-computes
-// engine against the map-based reference fixpoint on a few hundred random
-// programs, for both async-capable algorithms, with and without HCD,
-// across owner counts — including the single-owner configuration, which
-// still runs the full mailbox/token machinery.
-func TestAsyncMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	trials := 150
-	if testing.Short() {
-		trials = 30
-	}
-	for i := 0; i < trials; i++ {
-		p := randomSolverProgram(rng)
-		if p.Validate() != nil {
-			continue
-		}
-		want := referenceSolve(p)
-		for _, alg := range []Algorithm{Naive, LCD} {
-			for _, hcd := range []bool{false, true} {
-				for _, wk := range []int{1, 2, 4} {
-					r, err := Solve(p, Options{Algorithm: alg, WithHCD: hcd, Workers: wk, Async: true})
-					if err != nil {
-						t.Fatalf("i=%d alg=%v hcd=%v wk=%d: %v", i, alg, hcd, wk, err)
-					}
-					for v := uint32(0); v < uint32(p.NumVars); v++ {
-						got := r.PointsToSlice(v)
-						exp := sortedKeys(want[v])
-						if len(got) == 0 && len(exp) == 0 {
-							continue
-						}
-						if !reflect.DeepEqual(got, exp) {
-							t.Fatalf("i=%d alg=%v hcd=%v wk=%d: pts(v%d)=%v want %v",
-								i, alg, hcd, wk, v, got, exp)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestAsyncMatchesSequentialLarge pits the async engine against the
-// sequential solver on cycle-rich inputs big enough for sustained message
-// traffic and mid-solve pauses, across owner counts.
-func TestAsyncMatchesSequentialLarge(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	for trial := 0; trial < 3; trial++ {
-		p := biggerRandomProgram(rng, 300, 1200)
-		if err := p.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		for _, alg := range []Algorithm{Naive, LCD} {
-			for _, hcd := range []bool{false, true} {
-				base, err := Solve(p, Options{Algorithm: alg, WithHCD: hcd})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, wk := range []int{2, 4, 8} {
-					r, err := Solve(p, Options{Algorithm: alg, WithHCD: hcd, Workers: wk, Async: true})
-					if err != nil {
-						t.Fatalf("trial=%d alg=%v hcd=%v wk=%d: %v", trial, alg, hcd, wk, err)
-					}
-					for v := uint32(0); v < uint32(p.NumVars); v++ {
-						got, want := r.PointsToSlice(v), base.PointsToSlice(v)
-						if len(got) == 0 && len(want) == 0 {
-							continue
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("trial=%d alg=%v hcd=%v wk=%d: pts(v%d) = %d elems, want %d",
-								trial, alg, hcd, wk, v, len(got), len(want))
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestAsyncCancellation covers the cooperative-cancellation contract for
-// the async engine: an already-canceled context aborts before solving, and
-// a cancel fired from the lap-boundary Progress callback aborts a running
-// ring — owners unwind through stopCh, parked or mid-step — without a
-// partial Result.
+// the parallel engine at higher owner counts: an already-canceled context
+// aborts before solving, and a cancel fired from the lap-boundary
+// Progress callback aborts a running ring — owners unwind through stopCh,
+// parked or mid-step — without a partial Result.
 func TestAsyncCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	p := biggerRandomProgram(rng, 300, 1200)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r, err := SolveContext(ctx, p, Options{Algorithm: LCD, Workers: 4, Async: true})
+	r, err := SolveContext(ctx, p, Options{Algorithm: LCD, Workers: 8})
 	if r != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want nil result wrapping context.Canceled, got %v, %v", r, err)
 	}
 
-	for _, wk := range []int{1, 4} {
+	for _, wk := range []int{4, 8} {
 		mctx, mcancel := context.WithCancel(context.Background())
 		laps := 0
 		r, err := SolveContext(mctx, p, Options{
 			Algorithm: LCD,
 			Workers:   wk,
-			Async:     true,
 			Progress: func(ev ProgressEvent) {
 				laps = ev.Round
 				mcancel()
@@ -126,36 +45,11 @@ func TestAsyncCancellation(t *testing.T) {
 	}
 }
 
-// TestAsyncUseGating pins down which configurations dispatch to the async
-// engine: Options.Async with bitmap-backed sets, any worker count. (The
-// Naive/LCD restriction is enforced by SolveContext's dispatch switch.)
-func TestAsyncUseGating(t *testing.T) {
-	bitmapF := pts.NewBitmapFactory()
-	bddF := pts.NewBDDFactory(16, 0)
-	for _, tc := range []struct {
-		async   bool
-		workers int
-		pts     pts.Factory
-		want    bool
-	}{
-		{false, 8, bitmapF, false},
-		{true, 0, bitmapF, true},
-		{true, 1, bitmapF, true},
-		{true, 8, bitmapF, true},
-		{true, 8, bddF, false},
-	} {
-		opts := Options{Async: tc.async, Workers: tc.workers, Pts: tc.pts}
-		if got := useAsync(opts); got != tc.want {
-			t.Errorf("useAsync(async=%v, workers=%d, pts=%s) = %v, want %v",
-				tc.async, tc.workers, tc.pts.Name(), got, tc.want)
-		}
-	}
-}
-
 // TestAsyncStats checks the engine's accounting reaches the Result: the
 // owner-private Propagations/EdgesAdded counters must be folded in, Rounds
-// must report token laps, and the solution must match the sequential
-// solver even though the counters are schedule-dependent.
+// must report token laps, Workers the owner count, and the solution must
+// match the sequential solver even though the counters are
+// schedule-dependent.
 func TestAsyncStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	p := biggerRandomProgram(rng, 300, 1200)
@@ -163,26 +57,26 @@ func TestAsyncStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	async, err := Solve(p, Options{Algorithm: LCD, Workers: 4, Async: true})
+	par, err := Solve(p, Options{Algorithm: LCD, WithHCD: true, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if async.Stats.Propagations <= 0 || async.Stats.EdgesAdded <= 0 {
-		t.Fatalf("async counters not accumulated: %+v", async.Stats)
+	if par.Stats.Propagations <= 0 || par.Stats.EdgesAdded <= 0 {
+		t.Fatalf("owner counters not accumulated: %+v", par.Stats)
 	}
-	if async.Stats.Rounds <= 0 {
-		t.Fatalf("async run reported no token laps: %+v", async.Stats)
+	if par.Stats.Rounds <= 0 {
+		t.Fatalf("parallel run reported no token laps: %+v", par.Stats)
 	}
-	if async.Stats.Workers != 4 {
-		t.Fatalf("Stats.Workers = %d, want 4", async.Stats.Workers)
+	if par.Stats.Workers != 4 {
+		t.Fatalf("Stats.Workers = %d, want 4", par.Stats.Workers)
 	}
 	for v := uint32(0); v < uint32(p.NumVars); v++ {
-		a, b := async.PointsToSlice(v), seq.PointsToSlice(v)
+		a, b := par.PointsToSlice(v), seq.PointsToSlice(v)
 		if len(a) == 0 && len(b) == 0 {
 			continue
 		}
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("pts(v%d) differs between sequential and async", v)
+			t.Fatalf("pts(v%d) differs between sequential and parallel", v)
 		}
 	}
 }

@@ -8,16 +8,17 @@ import (
 	"antgrass/internal/hcd"
 	"antgrass/internal/memo"
 	"antgrass/internal/metrics"
-	"antgrass/internal/par"
 	"antgrass/internal/pts"
 	"antgrass/internal/uf"
 )
 
 // deref records one complex constraint hanging off a dereferenced variable:
 // for loads, Other = the destination a of a ⊇ *(n+Off); for stores, Other =
-// the source b of *(n+Off) ⊇ b. It is an alias of par.Deref so the parallel
-// compute phase can read the per-node constraint lists without conversion.
-type deref = par.Deref
+// the source b of *(n+Off) ⊇ b.
+type deref struct {
+	Other uint32
+	Off   uint32
+}
 
 // graph is the online constraint graph shared by the explicit-closure
 // solvers. Nodes are variables; collapsed nodes are tracked by a union-find
@@ -57,7 +58,7 @@ type graph struct {
 	resolved []pts.Set
 
 	// hcdResolved holds, per rep, the part of the points-to set already
-	// run through the HCD online rule. Allocated only by the async solver:
+	// run through the HCD online rule. Allocated only by the parallel solver:
 	// its owners cannot fire the rule themselves (uniting is arbiter-only),
 	// so they park a node whose set has un-ruled pointees until the next
 	// pause fires the rule, and the pause stamps this memo so the node
@@ -71,19 +72,16 @@ type graph struct {
 	// metrics is the observability registry (nil = disabled). The
 	// accumulators below attribute online time to sub-phases; they are
 	// plain ints because they are only touched from single-threaded
-	// solver code (the sequential loops and the parallel barrier merge),
-	// and only when metrics is non-nil — the disabled path never reads
-	// the clock.
-	metrics   *metrics.Registry
-	cycleNS   int64 // time inside cycle searches / sweeps
-	hcdNS     int64 // time inside the HCD online rule
-	computeNS int64 // time inside parallel compute phases
-	mergeNS   int64 // time inside parallel merges (appliers + epilogue)
+	// solver code (the sequential loops and the parallel engine's
+	// arbiter, which runs every collapse), and only when metrics is
+	// non-nil — the disabled path never reads the clock.
+	metrics *metrics.Registry
+	cycleNS int64 // time inside cycle searches / sweeps
+	hcdNS   int64 // time inside the HCD online rule
 
-	// memoStats accumulates the operation-memoization counters of
-	// whichever engine ran under Options.Memo: the sequential solvers fold
-	// their table's stats here at exit, the parallel engines fold every
-	// owner shard's. Written only by single-threaded engine epilogues.
+	// memoStats holds the operation-memoization counters of the
+	// sequential Naive/LCD solver under Options.Memo, folded in from its
+	// memo table at exit.
 	memoStats memo.Stats
 
 	// reversed records the orientation of the adjacency: false means
@@ -102,7 +100,8 @@ type graph struct {
 	// collapsing unions one edge set into another and drops the loser,
 	// and succsOf rewrites stale sets in place — both return their dead
 	// elements here. Touched only by single-threaded solver code (the
-	// parallel engine mutates edges in its barrier merge only).
+	// parallel engine's owners insert edges through their own pools, see
+	// addEdgeIn).
 	edgePool *bitmap.Pool
 
 	// scratch for succsOf / applyHCD
@@ -260,13 +259,12 @@ func (g *graph) addEdge(src, dst uint32) bool {
 	return false
 }
 
-// addEdgeIn is addEdge for the destination-sharded parallel merge: src's
-// successor bitmap is allocated from — or re-pointed at — the calling
-// owner applier's pool instead of the shared edgePool (which is
-// unsynchronized and single-threaded by contract), and the EdgesAdded
-// counter is left to the caller (appliers count privately; the epilogue
-// sums). src and dst must be distinct representatives owned by the
-// calling applier.
+// addEdgeIn is addEdge for a parallel owner: src's successor bitmap is
+// allocated from — or re-pointed at — the calling owner's pool instead of
+// the shared edgePool (which is unsynchronized and single-threaded by
+// contract), and the EdgesAdded counter is left to the caller (owners
+// count privately; the engine sums at exit). src and dst must be distinct
+// representatives owned by the calling owner.
 func (g *graph) addEdgeIn(src, dst uint32, pool *bitmap.Pool) bool {
 	bm := g.succs[src]
 	if bm == nil {

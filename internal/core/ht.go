@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"antgrass/internal/memo"
 	"antgrass/internal/pts"
 )
 
@@ -41,13 +40,6 @@ type htState struct {
 	// computePts dedup stamps (replaces a per-call map allocation).
 	qseen  []uint32
 	qround uint32
-
-	// memo, when non-nil (Options.Memo), deduplicates the predecessor-
-	// union chains computePts walks: HT's rounds recompute the same
-	// queries over largely unchanged caches — §2's "unavoidable redundant
-	// work" — and nodes sharing predecessor structure replay identical
-	// union sequences, which the memo answers as COW adoptions.
-	memo *memo.Table
 }
 
 type htFrame struct {
@@ -65,13 +57,6 @@ func solveHT(ctx context.Context, g *graph, opts Options) error {
 		idxSeen: make([]uint32, g.n),
 		onstk:   make([]bool, g.n),
 		qseen:   make([]uint32, g.n),
-	}
-	if opts.Memo {
-		h.memo = memo.NewTable()
-		defer func() {
-			g.memoStats = h.memo.Stats()
-			h.memo.Release()
-		}()
 	}
 	g.onUnite = func(rep, lost uint32) {
 		// Merge the query caches of collapsed nodes so partially
@@ -309,11 +294,6 @@ func (h *htState) computePts(rep uint32) {
 		h.qseen[p] = h.qround
 		if h.stamp[p] == h.round && h.cache[p] != nil {
 			g.stats.Propagations++
-			if h.memo != nil {
-				if _, ok := h.memo.Union(set, h.cache[p]); ok {
-					continue
-				}
-			}
 			set.UnionWith(h.cache[p])
 		}
 	}

@@ -109,7 +109,7 @@ func NewLive(ctx context.Context, p *constraint.Program, opts Options) (*Live, e
 	}
 	l.st.exportMemo()
 	online := time.Since(start)
-	g.recordOnlinePhases(online, false)
+	g.recordOnlinePhases(online)
 	g.stats.SolveDuration = online
 	g.stats.MemBytes = g.memBytes()
 	l.epoch = 1
@@ -237,7 +237,7 @@ func (l *Live) Add(ctx context.Context, added []constraint.Constraint) error {
 	}
 	l.st.exportMemo()
 	online := time.Since(start)
-	g.recordOnlinePhases(online, false)
+	g.recordOnlinePhases(online)
 	g.stats.SolveDuration += online
 	g.stats.MemBytes = g.memBytes()
 	l.epoch++

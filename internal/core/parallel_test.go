@@ -11,10 +11,9 @@ import (
 	"antgrass/internal/pts"
 )
 
-// TestParallelMatchesOracle cross-checks the bulk-synchronous parallel
-// engine against the map-based reference fixpoint on a few hundred random
-// programs, for both parallel-capable algorithms, with and without HCD,
-// across worker counts.
+// TestParallelMatchesOracle cross-checks the parallel engine against the
+// map-based reference fixpoint on a few hundred random programs, for both
+// parallel-capable algorithms, with and without HCD, across worker counts.
 func TestParallelMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	trials := 200
@@ -52,8 +51,8 @@ func TestParallelMatchesOracle(t *testing.T) {
 }
 
 // TestParallelMatchesSequentialLarge pits Workers ∈ {2, 4, 8} against the
-// sequential solver on cycle-rich inputs big enough for multi-round
-// convergence and mid-solve collapsing.
+// sequential solver on cycle-rich inputs big enough for sustained message
+// traffic and mid-solve collapsing pauses.
 func TestParallelMatchesSequentialLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 3; trial++ {
@@ -114,7 +113,8 @@ func TestSolveContextCancellation(t *testing.T) {
 }
 
 // TestSolveContextCancelMidSolve cancels from a Progress callback, proving
-// the solvers observe cancellation at round boundaries, not only up front.
+// the parallel engine observes cancellation mid-solve, not only up front:
+// owners unwind whether parked or mid-step, without a partial Result.
 func TestSolveContextCancelMidSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	p := biggerRandomProgram(rng, 400, 1600)
@@ -131,7 +131,7 @@ func TestSolveContextCancelMidSolve(t *testing.T) {
 		})
 		cancel()
 		if rounds == 0 {
-			// The input converged within one round; nothing to check.
+			// The input converged within one token lap; nothing to check.
 			continue
 		}
 		if r != nil || !errors.Is(err, context.Canceled) {
@@ -152,14 +152,14 @@ func TestProgressEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(events) == 0 {
-		t.Fatal("no progress events from a multi-round solve")
+		t.Fatal("no progress events from a parallel solve")
 	}
 	for i, ev := range events {
 		if ev.Round != i+1 {
 			t.Fatalf("event %d has round %d", i, ev.Round)
 		}
-		if ev.WorklistLen < 0 || ev.NodesCollapsed < 0 || ev.Unions < 0 {
-			t.Fatalf("negative fields in %+v", ev)
+		if ev.Workers != 4 || ev.WorklistLen < 0 || ev.NodesCollapsed < 0 || ev.Unions < 0 {
+			t.Fatalf("bad fields in %+v", ev)
 		}
 		if i > 0 && (ev.Unions < events[i-1].Unions || ev.NodesCollapsed < events[i-1].NodesCollapsed) {
 			t.Fatalf("cumulative counters went backwards: %+v then %+v", events[i-1], ev)
@@ -171,32 +171,38 @@ func TestProgressEvents(t *testing.T) {
 }
 
 // TestUseParallelGating pins down which configurations dispatch to the
-// parallel engine: bitmap-backed sets only, and only for Workers ≥ 2. (The
-// Naive/LCD restriction is enforced by SolveContext's dispatch switch.)
+// parallel engine: Naive or LCD, bitmap-backed sets (pooled or plain), and
+// Workers ≥ 2. Everything else solves sequentially.
 func TestUseParallelGating(t *testing.T) {
 	bitmapF := pts.NewBitmapFactory()
+	plainF := pts.NewPlainBitmapFactory()
 	bddF := pts.NewBDDFactory(16, 0)
 	for _, tc := range []struct {
+		alg     Algorithm
 		workers int
 		pts     pts.Factory
 		want    bool
 	}{
-		{0, bitmapF, false},
-		{1, bitmapF, false},
-		{2, bitmapF, true},
-		{8, bitmapF, true},
-		{8, bddF, false},
+		{LCD, 0, bitmapF, false},
+		{LCD, 1, bitmapF, false},
+		{LCD, 2, bitmapF, true},
+		{Naive, 8, bitmapF, true},
+		{LCD, 4, plainF, true},
+		{LCD, 8, bddF, false},
+		{HT, 4, bitmapF, false},
+		{PKH, 4, bitmapF, false},
+		{PKW, 4, bitmapF, false},
 	} {
-		opts := Options{Workers: tc.workers, Pts: tc.pts}
+		opts := Options{Algorithm: tc.alg, Workers: tc.workers, Pts: tc.pts}
 		if got := useParallel(opts); got != tc.want {
-			t.Errorf("useParallel(workers=%d, pts=%s) = %v, want %v",
-				tc.workers, tc.pts.Name(), got, tc.want)
+			t.Errorf("useParallel(%v, workers=%d, pts=%s) = %v, want %v",
+				tc.alg, tc.workers, tc.pts.Name(), got, tc.want)
 		}
 	}
 }
 
-// TestParallelWorkersStats checks counters survive the per-worker
-// accumulate-then-merge path: a parallel run's Propagations and EdgesAdded
+// TestParallelWorkersStats checks counters survive the owner-private
+// accumulate-then-sum path: a parallel run's Propagations and EdgesAdded
 // must be positive on a non-trivial input and the solution identical to
 // sequential even when counters differ.
 func TestParallelWorkersStats(t *testing.T) {

@@ -7,8 +7,8 @@ import (
 
 // TestProgressSequentialDelivery pins down the sequential solvers' delivery
 // contract: events arrive in order with consecutive 1-based rounds,
-// cumulative counters never go backwards, and the parallel-only fields
-// (Workers, ShardWork) stay zero-valued.
+// cumulative counters never go backwards, and the parallel-only Workers
+// field stays zero.
 func TestProgressSequentialDelivery(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var events []ProgressEvent
@@ -38,57 +38,11 @@ func TestProgressSequentialDelivery(t *testing.T) {
 		if ev.Round != i+1 {
 			t.Fatalf("event %d delivered with round %d", i, ev.Round)
 		}
-		if ev.Workers != 0 || ev.ShardWork != nil {
+		if ev.Workers != 0 {
 			t.Fatalf("sequential event carries parallel fields: %+v", ev)
 		}
 		if i > 0 && (ev.Unions < events[i-1].Unions || ev.NodesCollapsed < events[i-1].NodesCollapsed) {
 			t.Fatalf("cumulative counters went backwards: %+v then %+v", events[i-1], ev)
 		}
-	}
-}
-
-// TestProgressShardWorkAccounting checks the parallel engine's
-// shard-utilization reporting: every round's event carries one entry per
-// compute shard, and the entries sum exactly to that round's increment of
-// the cumulative Unions counter — the per-shard counts are an exact
-// decomposition, not an estimate.
-func TestProgressShardWorkAccounting(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	p := biggerRandomProgram(rng, 300, 1200)
-	const workers = 4
-	var events []ProgressEvent
-	res, err := Solve(p, Options{Algorithm: LCD, Workers: workers,
-		Progress: func(ev ProgressEvent) { events = append(events, ev) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("no progress events from a parallel solve")
-	}
-	var prevUnions int64
-	for i, ev := range events {
-		if ev.Round != i+1 {
-			t.Fatalf("event %d delivered with round %d", i, ev.Round)
-		}
-		if ev.Workers < 1 || ev.Workers > workers {
-			t.Fatalf("round %d used %d shards with Workers=%d", ev.Round, ev.Workers, workers)
-		}
-		if len(ev.ShardWork) != ev.Workers {
-			t.Fatalf("round %d: %d shard entries for %d shards", ev.Round, len(ev.ShardWork), ev.Workers)
-		}
-		var sum int64
-		for s, n := range ev.ShardWork {
-			if n < 0 {
-				t.Fatalf("round %d shard %d reported negative work %d", ev.Round, s, n)
-			}
-			sum += n
-		}
-		if got := ev.Unions - prevUnions; sum != got {
-			t.Fatalf("round %d: shard work sums to %d but Unions grew by %d", ev.Round, sum, got)
-		}
-		prevUnions = ev.Unions
-	}
-	if last := events[len(events)-1]; last.Unions != res.Stats.Propagations {
-		t.Fatalf("final event reports %d unions, Stats has %d", last.Unions, res.Stats.Propagations)
 	}
 }

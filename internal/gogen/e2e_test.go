@@ -65,7 +65,7 @@ func TestSelfAnalysis(t *testing.T) {
 	// Known direct edges through the public facade.
 	for _, want := range []edge{
 		{"antgrass.Solve", "antgrass.newSession"},
-		{"antgrass.SolveContext", "antgrass.Solve"},
+		{"antgrass.CompileC", "antgrass/internal/cgen.CompileWith"},
 		{"antgrass.CompileGo", "antgrass/internal/gogen.Compile"},
 	} {
 		if !have[want] {

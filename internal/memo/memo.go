@@ -14,31 +14,20 @@
 // a pure function of contents. Hits return copy-on-write shares of the
 // cached result (a refcount bump, zero element copies) via pts.Adopt.
 //
-// Two cache shapes match the two solver regimes:
+// Table serves the sequential worklist solvers (Naive and LCD, with or
+// without difference propagation), which own their factory outright:
+// results are COW-shared and interned, so a hit makes the destination
+// literally share the canonical backing. The parallel engine cannot use it
+// (interning and refcounts are unsynchronized), and the other solvers do
+// not.
 //
-//   - Table serves the sequential solvers (basic/LCD worklist, HT), which
-//     own their factory outright: results are COW-shared and interned, so
-//     a hit makes the destination literally share the canonical backing.
-//   - Shard serves the parallel engines' per-owner appliers (the BSP
-//     destination-sharded merge and the async owner goroutines), where
-//     the factory's intern table and refcounts must not be touched —
-//     sharing across owners would race on unsynchronized refcounts.
-//     A Shard hash-conses delta payloads into owner-owned storage and
-//     exploits solve-time monotonicity instead: once a payload has been
-//     folded into a node's set, that set only grows, so re-applying an
-//     equal payload is a no-op the Shard answers without walking either
-//     bitmap. No locks anywhere; each owner consults only its own Shard.
-//
-// Both caches are capacity-bounded and flush wholesale when full —
+// The cache is capacity-bounded and flushes wholesale when full —
 // deterministic, O(1) amortized, and a memo flush can only cost future
 // hits, never correctness. Callers must treat every returned value
 // (shared Sets, target slices) as read-only or clone-on-write.
 package memo
 
-import (
-	"antgrass/internal/bitmap"
-	"antgrass/internal/pts"
-)
+import "antgrass/internal/pts"
 
 // Stats are the cache-effectiveness counters, exported by the solvers as
 // the memo_hits / memo_misses / memo_evictions / memo_bytes metrics.
@@ -53,24 +42,13 @@ type Stats struct {
 	Bytes int64
 }
 
-// Add accumulates o into s (for folding per-owner shard stats).
-func (s *Stats) Add(o Stats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.Bytes += o.Bytes
-}
-
 // Capacity bounds. Maps flush wholesale at these sizes; the constants are
 // generous enough that flushes are rare on the benchmark families while
 // keeping worst-case retained memory proportional to the solve, not the
 // operation count.
 const (
-	tableCap        = 1 << 16 // entries per Table operation map
-	shardCanonCap   = 1 << 12 // canonical payloads per Shard
-	shardAppliedCap = 1 << 17 // (node, payload) subsumption marks per Shard
-	shardBucketCap  = 4       // Equal-verified candidates per content hash
-	entryOverhead   = 64      // approximate map-entry footprint in bytes
+	tableCap      = 1 << 16 // entries per Table operation map
+	entryOverhead = 64      // approximate map-entry footprint in bytes
 )
 
 // pairKey keys a binary operation by the canonical ids of its operands.
@@ -270,101 +248,4 @@ func (t *Table) flushDerefs() {
 		t.stats.Evictions++
 	}
 	t.derefBytes = 0
-}
-
-// Shard is the owner-local memo of the parallel engines: it memoizes the
-// delta-application unions one owner performs on the nodes it owns,
-// without ever touching the factory's unsynchronized intern table or
-// refcounts. Delta payloads are hash-consed into owner-owned canonical
-// bitmaps (Equal-verified, allocated from the owner's pool), and a
-// (node, payload) pair is marked once applied: points-to sets only grow
-// during a solve — unions and unite-merges, never removals — so an equal
-// payload arriving again is subsumed and the union skipped outright.
-// A Shard is confined to whichever goroutine currently owns its owner
-// shard, exactly like the owner pool it allocates from.
-type Shard struct {
-	pool    *bitmap.Pool
-	canon   []*bitmap.Bitmap    // owner-owned canonical delta payloads
-	byHash  map[uint64][]uint32 // content hash → indices into canon
-	applied map[uint64]struct{} // node<<32|payload already folded into node
-	stats   Stats
-}
-
-// NewShard returns an empty owner shard allocating canonical payload
-// storage from pool (the owner's element pool).
-func NewShard(pool *bitmap.Pool) *Shard {
-	return &Shard{
-		pool:    pool,
-		byHash:  map[uint64][]uint32{},
-		applied: map[uint64]struct{}{},
-	}
-}
-
-// Stats returns the cache-effectiveness counters.
-func (sh *Shard) Stats() Stats { return sh.stats }
-
-// Apply performs set(z) |= delta through the memo and reports whether the
-// set changed. ok is false when the payload cannot be memoized (a
-// pathological hash-collision bucket or a non-bitmap set) — the caller
-// must then apply the delta itself. z must be the union-find
-// representative the caller is applying to; entries for nodes later
-// absorbed by a collapse go stale harmlessly (deltas are only ever
-// addressed to representatives, and the representative's set has absorbed
-// the member's, preserving subsumption).
-func (sh *Shard) Apply(z uint32, dst pts.Set, delta *bitmap.Bitmap) (changed, ok bool) {
-	if delta == nil || delta.Empty() {
-		return false, true
-	}
-	if len(sh.applied) >= shardAppliedCap || len(sh.canon) >= shardCanonCap {
-		sh.flush()
-	}
-	h := delta.Hash()
-	idx := -1
-	bucket := sh.byHash[h]
-	for _, ci := range bucket {
-		if sh.canon[ci].Equal(delta) {
-			idx = int(ci)
-			break
-		}
-	}
-	if idx < 0 {
-		if len(bucket) >= shardBucketCap {
-			return false, false
-		}
-		nb := delta.CopyIn(sh.pool)
-		idx = len(sh.canon)
-		sh.canon = append(sh.canon, nb)
-		sh.byHash[h] = append(bucket, uint32(idx))
-		sh.stats.Bytes += int64(nb.MemBytes()) + entryOverhead
-	}
-	k := uint64(z)<<32 | uint64(uint32(idx))
-	if _, hit := sh.applied[k]; hit {
-		sh.stats.Hits++
-		return false, true
-	}
-	bm, okB := pts.MutableBitmapIn(dst, sh.pool)
-	if !okB {
-		return false, false
-	}
-	sh.stats.Misses++
-	changed = bm.IorWith(delta)
-	sh.applied[k] = struct{}{}
-	sh.stats.Bytes += 16
-	return changed, true
-}
-
-// Release drops every entry and returns the canonical payload storage to
-// the owner's pool. The shard is empty but reusable afterwards. Call it
-// on the owner's goroutine, before the pool's final accounting.
-func (sh *Shard) Release() { sh.flush() }
-
-func (sh *Shard) flush() {
-	for _, bm := range sh.canon {
-		bm.ClearAll()
-	}
-	sh.stats.Evictions += int64(len(sh.canon) + len(sh.applied))
-	sh.canon = sh.canon[:0]
-	sh.byHash = map[uint64][]uint32{}
-	sh.applied = map[uint64]struct{}{}
-	sh.stats.Bytes = 0
 }

@@ -3,7 +3,6 @@ package memo
 import (
 	"testing"
 
-	"antgrass/internal/bitmap"
 	"antgrass/internal/pts"
 )
 
@@ -213,75 +212,5 @@ func TestTableReleaseEvicts(t *testing.T) {
 	}
 	if ch, ok := tbl.Union(newSet(f, 9), newSet(f, 10)); !ok || !ch {
 		t.Fatal("table unusable after Release")
-	}
-}
-
-// TestShardSubsumption: once a payload has been folded into a node's
-// set, re-applying an equal payload (same or different backing) to the
-// same node is answered without walking either bitmap, while a
-// different node or payload still unions.
-func TestShardSubsumption(t *testing.T) {
-	f := pts.NewBitmapFactory()
-	pool := bitmap.NewPool()
-	sh := NewShard(pool)
-	defer sh.Release()
-
-	var d1, d2 bitmap.Bitmap
-	for _, x := range []uint32{4, 900} {
-		d1.Set(x)
-		d2.Set(x)
-	}
-	dst := pts.NewSetIn(f, pool)
-	if ch, ok := sh.Apply(7, dst, &d1); !ok || !ch {
-		t.Fatalf("first Apply = (%v, %v), want (true, true)", ch, ok)
-	}
-	// Equal content, different backing: subsumed, no union performed.
-	if ch, ok := sh.Apply(7, dst, &d2); !ok || ch {
-		t.Fatalf("subsumed Apply = (%v, %v), want (false, true)", ch, ok)
-	}
-	if st := sh.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
-	}
-	// Same payload, different node: a real union.
-	other := pts.NewSetIn(f, pool)
-	if ch, ok := sh.Apply(8, other, &d1); !ok || !ch {
-		t.Fatalf("other-node Apply = (%v, %v), want (true, true)", ch, ok)
-	}
-	if got := dst.Slice(); len(got) != 2 || got[0] != 4 || got[1] != 900 {
-		t.Fatalf("dst = %v, want [4 900]", got)
-	}
-	// Empty deltas are identities.
-	var empty bitmap.Bitmap
-	if ch, ok := sh.Apply(7, dst, &empty); !ok || ch {
-		t.Fatalf("empty Apply = (%v, %v), want (false, true)", ch, ok)
-	}
-	if ch, ok := sh.Apply(7, dst, nil); !ok || ch {
-		t.Fatalf("nil Apply = (%v, %v), want (false, true)", ch, ok)
-	}
-}
-
-// TestShardFlushAtCap: exceeding the canonical-payload capacity flushes
-// the shard wholesale (counted as evictions) and later applies still
-// produce correct unions.
-func TestShardFlushAtCap(t *testing.T) {
-	f := pts.NewBitmapFactory()
-	pool := bitmap.NewPool()
-	sh := NewShard(pool)
-	defer sh.Release()
-
-	dst := pts.NewSetIn(f, pool)
-	var d bitmap.Bitmap
-	for i := 0; i <= shardCanonCap; i++ {
-		d.ClearAll()
-		d.Set(uint32(i))
-		if _, ok := sh.Apply(1, dst, &d); !ok {
-			t.Fatalf("Apply %d refused", i)
-		}
-	}
-	if st := sh.Stats(); st.Evictions == 0 {
-		t.Fatalf("stats = %+v, want a capacity flush", st)
-	}
-	if got := dst.Len(); got != shardCanonCap+1 {
-		t.Fatalf("dst has %d elements, want %d", got, shardCanonCap+1)
 	}
 }

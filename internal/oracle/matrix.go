@@ -35,11 +35,11 @@ type Config struct {
 const matrixBDDPool = 1 << 12
 
 // matrixWorkers are the parallel worker counts exercised by the matrix.
-// The bulk-synchronous engine only engages for Naive/LCD with bitmap sets;
-// the counts bracket the interesting schedules (minimal contention,
-// moderate chunking, and more owner shards than a tiny frontier can
-// fill — at 8 workers most rounds leave some deques empty, so the
-// work-stealing path runs on nearly every round).
+// The parallel engine only engages for Naive/LCD with bitmap sets; the
+// counts bracket the interesting schedules (two owners trading every
+// cross-owner delta, moderate fan-out, and more owners than a tiny
+// program keeps busy, so idle owners park and the token ring passes
+// through passive owners).
 var matrixWorkers = []int{2, 4, 8}
 
 // Matrix returns the full registered configuration set:
@@ -48,13 +48,9 @@ var matrixWorkers = []int{2, 4, 8}
 //   - the five algorithms (±hcd) again with the plain bitmap factory —
 //     pooling, copy-on-write sharing and dedup disabled — so the memory
 //     engine is differentially tested against its own ablation;
-//   - parallel worker counts for the configurations the wave engine
+//   - parallel worker counts for the configurations the parallel engine
 //     accepts (Naive and LCD over bitmaps), with and without HCD, plus
 //     one parallel run over the plain factory;
-//   - the same worker counts again on the asynchronous owner-sharded
-//     engine (±async tiers: Naive/LCD × ±hcd × workers, one plain-factory
-//     run, and the HVN+HU offline ladder at each worker count), pinning
-//     the barrier-free engine bit-identical to every other configuration;
 //   - difference propagation for the basic worklist solvers;
 //   - the BLQ relational solver, with and without HCD;
 //   - the offline pre-pass tiers (HVN, HU, HVN+HU, HVN+HU+OVS) over
@@ -62,11 +58,11 @@ var matrixWorkers = []int{2, 4, 8}
 //     parallel worker counts — every tier must be solution-preserving,
 //     so these cells pin the value-numbering equivalences against the
 //     unreduced configurations;
-//   - the operation-memoization tier (+memo): Naive/LCD ±hcd sequential
-//     and at 4 workers (BSP and async), HT ±hcd, difference propagation,
-//     the plain-factory fallback and the HVN+HU ladder, all with
-//     Options.Memo — memoization is a cache keyed on canonical set ids,
-//     so these cells pin it bit-identical to plain solving.
+//   - the operation-memoization tier (+memo): Naive/LCD ±hcd, difference
+//     propagation, the plain-factory fallback and the HVN+HU ladder, all
+//     sequential (the only solvers Options.Memo serves) — memoization is
+//     a cache keyed on canonical set ids, so these cells pin it
+//     bit-identical to plain solving.
 //
 // Every configuration must compute the identical least fixpoint; Check
 // runs them in this order and reports the first that does not. To register
@@ -92,13 +88,11 @@ func Matrix() []Config {
 		for _, withHCD := range []bool{false, true} {
 			for _, w := range matrixWorkers {
 				out = append(out, coreConfig(alg, "bitmap", withHCD, w, false))
-				out = append(out, coreConfigAsync(alg, "bitmap", withHCD, w, false, true))
 			}
 			out = append(out, coreConfig(alg, "bitmap", withHCD, 0, true))
 		}
 	}
 	out = append(out, coreConfig(core.LCD, "bitmap-plain", true, 2, false))
-	out = append(out, coreConfigAsync(core.LCD, "bitmap-plain", true, 2, false, true))
 	out = append(out, blqConfig(false), blqConfig(true))
 	for _, tier := range offlineTiers {
 		for _, alg := range []core.Algorithm{core.Naive, core.LCD} {
@@ -111,32 +105,23 @@ func Matrix() []Config {
 	for _, withHCD := range []bool{false, true} {
 		for _, w := range matrixWorkers {
 			out = append(out, offlineConfig(huTier, core.LCD, withHCD, w))
-			out = append(out, offlineConfigAsync(huTier, core.LCD, withHCD, w, true))
 		}
 	}
-	// Operation-memoization tier (+memo): the same cells again with the
-	// union/diff/offset-deref memo engine switched on. Memoization is a
-	// pure cache over canonical set ids, so every +memo cell must stay
-	// bit-identical to its plain counterpart: Naive/LCD ±hcd sequential,
-	// BSP at 4 workers and async at 4 owners; HT ±hcd (its topological
-	// union path); difference propagation; the plain-factory fallback
-	// (sets cannot be interned, so the tables must degrade gracefully);
-	// and the HVN+HU offline ladder sequential and at 4 workers.
+	// Operation-memoization tier (+memo): the sequential cells again with
+	// the union/diff/offset-deref memo engine switched on. Memoization is
+	// a pure cache over canonical set ids, so every +memo cell must stay
+	// bit-identical to its plain counterpart: Naive/LCD ±hcd, difference
+	// propagation, the plain-factory fallback (sets cannot be interned, so
+	// the table must degrade gracefully) and the HVN+HU offline ladder.
 	for _, alg := range []core.Algorithm{core.Naive, core.LCD} {
 		for _, withHCD := range []bool{false, true} {
-			out = append(out, coreConfigMemo(alg, "bitmap", withHCD, 0, false, false))
-			out = append(out, coreConfigMemo(alg, "bitmap", withHCD, 4, false, false))
-			out = append(out, coreConfigMemo(alg, "bitmap", withHCD, 4, false, true))
+			out = append(out, coreConfigMemo(alg, "bitmap", withHCD, false))
 		}
 	}
-	out = append(out, coreConfigMemo(core.LCD, "bitmap", true, 0, true, false))
-	out = append(out, coreConfigMemo(core.HT, "bitmap", false, 0, false, false))
-	out = append(out, coreConfigMemo(core.HT, "bitmap", true, 0, false, false))
-	out = append(out, coreConfigMemo(core.LCD, "bitmap-plain", true, 0, false, false))
-	out = append(out, coreConfigMemo(core.LCD, "bitmap-plain", true, 4, false, true))
+	out = append(out, coreConfigMemo(core.LCD, "bitmap", true, true))
+	out = append(out, coreConfigMemo(core.LCD, "bitmap-plain", true, false))
 	for _, withHCD := range []bool{false, true} {
-		out = append(out, offlineConfigMemo(huTier, core.LCD, withHCD, 0))
-		out = append(out, offlineConfigMemo(huTier, core.LCD, withHCD, 4))
+		out = append(out, offlineConfigMemo(huTier, core.LCD, withHCD))
 	}
 	return out
 }
@@ -164,28 +149,20 @@ var offlineTiers = []offlineTier{
 // HCD table, mirroring the facade pipeline. Queries stay on original
 // variable ids because the solver applies the unions before constraints.
 func offlineConfig(tier offlineTier, alg core.Algorithm, withHCD bool, workers int) Config {
-	return offlineConfigFull(tier, alg, withHCD, workers, false, false)
+	return offlineConfigFull(tier, alg, withHCD, workers, false)
 }
 
-// offlineConfigAsync is offlineConfig with the asynchronous engine
-// switched on for the online solve that follows the reduction passes.
-func offlineConfigAsync(tier offlineTier, alg core.Algorithm, withHCD bool, workers int, async bool) Config {
-	return offlineConfigFull(tier, alg, withHCD, workers, async, false)
+// offlineConfigMemo is the sequential offlineConfig with operation
+// memoization switched on for the online solve that follows the
+// reduction passes.
+func offlineConfigMemo(tier offlineTier, alg core.Algorithm, withHCD bool) Config {
+	return offlineConfigFull(tier, alg, withHCD, 0, true)
 }
 
-// offlineConfigMemo is offlineConfig with operation memoization switched
-// on for the online solve that follows the reduction passes.
-func offlineConfigMemo(tier offlineTier, alg core.Algorithm, withHCD bool, workers int) Config {
-	return offlineConfigFull(tier, alg, withHCD, workers, false, true)
-}
-
-func offlineConfigFull(tier offlineTier, alg core.Algorithm, withHCD bool, workers int, async, memoize bool) Config {
+func offlineConfigFull(tier offlineTier, alg core.Algorithm, withHCD bool, workers int, memoize bool) Config {
 	name := alg.String() + "+" + tier.name
 	if withHCD {
 		name += "+hcd"
-	}
-	if async {
-		name += "+async"
 	}
 	if memoize {
 		name += "+memo"
@@ -224,7 +201,6 @@ func offlineConfigFull(tier offlineTier, alg core.Algorithm, withHCD bool, worke
 				WithHCD:   true,
 				HCDTable:  table,
 				Workers:   workers,
-				Async:     async,
 				Memo:      memoize,
 			})
 		},
@@ -232,34 +208,24 @@ func offlineConfigFull(tier offlineTier, alg core.Algorithm, withHCD bool, worke
 }
 
 func coreConfig(alg core.Algorithm, repr string, withHCD bool, workers int, diff bool) Config {
-	return coreConfigFull(alg, repr, withHCD, workers, diff, false, false)
+	return coreConfigFull(alg, repr, withHCD, workers, diff, false)
 }
 
-// coreConfigAsync is coreConfig with the asynchronous owner-sharded
-// engine switched on: same algorithm, same solution, no rounds. The
-// worker count becomes the owner-shard count.
-func coreConfigAsync(alg core.Algorithm, repr string, withHCD bool, workers int, diff, async bool) Config {
-	return coreConfigFull(alg, repr, withHCD, workers, diff, async, false)
+// coreConfigMemo is the sequential coreConfig with operation memoization
+// switched on: same solution, with repeated unions/diffs/offset-derefs
+// answered from the memo table (Options.Memo). Cells over the plain
+// bitmap factory exercise the cannot-intern fallback path.
+func coreConfigMemo(alg core.Algorithm, repr string, withHCD bool, diff bool) Config {
+	return coreConfigFull(alg, repr, withHCD, 0, diff, true)
 }
 
-// coreConfigMemo is coreConfigFull with operation memoization switched
-// on: same solution, with repeated unions/diffs/offset-derefs answered
-// from the memo caches (Options.Memo). Cells over the plain bitmap
-// factory exercise the cannot-intern fallback path.
-func coreConfigMemo(alg core.Algorithm, repr string, withHCD bool, workers int, diff, async bool) Config {
-	return coreConfigFull(alg, repr, withHCD, workers, diff, async, true)
-}
-
-func coreConfigFull(alg core.Algorithm, repr string, withHCD bool, workers int, diff, async, memoize bool) Config {
+func coreConfigFull(alg core.Algorithm, repr string, withHCD bool, workers int, diff, memoize bool) Config {
 	name := alg.String()
 	if withHCD {
 		name += "+hcd"
 	}
 	if diff {
 		name += "+diff"
-	}
-	if async {
-		name += "+async"
 	}
 	if memoize {
 		name += "+memo"
@@ -276,7 +242,6 @@ func coreConfigFull(alg core.Algorithm, repr string, withHCD bool, workers int, 
 				WithHCD:   withHCD,
 				Workers:   workers,
 				DiffProp:  diff,
-				Async:     async,
 				Memo:      memoize,
 			}
 			switch repr {

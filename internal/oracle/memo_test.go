@@ -22,15 +22,12 @@ import (
 func TestMemoMatchesPlainOnSynthPrograms(t *testing.T) {
 	cfgs := []Config{
 		coreConfig(core.LCD, "bitmap", true, 0, false),
-		coreConfigMemo(core.LCD, "bitmap", true, 0, false, false),
+		coreConfigMemo(core.LCD, "bitmap", true, false),
 		coreConfig(core.LCD, "bitmap", true, 0, true),
-		coreConfigMemo(core.LCD, "bitmap", true, 0, true, false),
-		coreConfig(core.HT, "bitmap", false, 0, false),
-		coreConfigMemo(core.HT, "bitmap", false, 0, false, false),
-		coreConfig(core.LCD, "bitmap", false, 2, false),
-		coreConfigMemo(core.LCD, "bitmap", false, 2, false, false),
-		coreConfigMemo(core.LCD, "bitmap", true, 2, false, true),
-		coreConfigMemo(core.LCD, "bitmap-plain", true, 0, false, false),
+		coreConfigMemo(core.LCD, "bitmap", true, true),
+		coreConfig(core.Naive, "bitmap", false, 0, false),
+		coreConfigMemo(core.Naive, "bitmap", false, false),
+		coreConfigMemo(core.LCD, "bitmap-plain", true, false),
 	}
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -53,22 +50,16 @@ func TestMemoMatchesPlainOnSynthPrograms(t *testing.T) {
 // TestFuzzSeedsMemo replays the committed fuzz seed corpus with
 // operation memoization switched on, differentially against the
 // reference solver. Every seed that ever broke a solver now also pins
-// the memo tables: the sequential union/diff/offset-deref caches, the
-// per-owner shards of the BSP and async engines, and the plain-factory
-// fallback. check.sh runs this under the race detector next to the
-// parallel replay — the shard path hashes cross-owner delta payloads
-// concurrently, so a mutating Hash would surface here as a detector
-// report or a divergence.
+// the memo table: the union/diff/offset-deref caches of the sequential
+// Naive and LCD solvers, difference propagation, the plain-factory
+// fallback and the HVN+HU ladder.
 func TestFuzzSeedsMemo(t *testing.T) {
 	huTier := offlineTier{name: "hvn+hu", hvn: true, hu: true}
 	replayFuzzSeeds(t, []Config{
-		coreConfigMemo(core.LCD, "bitmap", true, 0, false, false),
-		coreConfigMemo(core.LCD, "bitmap", true, 0, true, false),
-		coreConfigMemo(core.HT, "bitmap", true, 0, false, false),
-		coreConfigMemo(core.Naive, "bitmap", false, 4, false, false),
-		coreConfigMemo(core.LCD, "bitmap", true, 4, false, false),
-		coreConfigMemo(core.LCD, "bitmap", true, 4, false, true),
-		coreConfigMemo(core.LCD, "bitmap-plain", true, 0, false, false),
-		offlineConfigMemo(huTier, core.LCD, true, 4),
+		coreConfigMemo(core.LCD, "bitmap", true, false),
+		coreConfigMemo(core.LCD, "bitmap", true, true),
+		coreConfigMemo(core.Naive, "bitmap", false, false),
+		coreConfigMemo(core.LCD, "bitmap-plain", true, false),
+		offlineConfigMemo(huTier, core.LCD, true),
 	})
 }

@@ -2,7 +2,7 @@
 //
 // Every solver in this tree — the five explicit-closure algorithms of
 // internal/core, the BDD-relational BLQ solver, both points-to
-// representations, the parallel wave engine, and the HCD/LCD cycle
+// representations, the parallel engine, and the HCD/LCD cycle
 // optimizations — claims to compute exactly the same solution: the unique
 // least fixpoint of the inclusion constraints (Table 1 of the paper). The
 // cycle-detection techniques in particular are *exact* optimizations: the

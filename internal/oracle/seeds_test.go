@@ -45,39 +45,25 @@ func readFuzzSeed(t *testing.T, path string) []byte {
 }
 
 // TestFuzzSeedsParallel replays the committed fuzz seed corpus against
-// the parallel wave engine at four workers, differentially against the
-// reference solver. The fuzz campaigns that produced these seeds ran the
-// full matrix; this replay pins the parallel configurations specifically
-// because check.sh runs it under the race detector, where the full
-// matrix would be too slow — the interesting schedules here are the
-// concurrent compute workers, the work-stealing deques and the
-// destination-sharded merge appliers.
+// the parallel engine, differentially against the reference solver. The
+// fuzz campaigns that produced these seeds ran the full matrix; this
+// replay pins the parallel configurations specifically because check.sh
+// runs it under the race detector, where the full matrix would be too
+// slow. The interesting schedules are concurrent owner mailboxes, the
+// Safra token ring's termination decision and the arbiter's full-pause
+// cycle collapses, at two, four and eight owners and behind the HVN+HU
+// offline ladder — a missed happens-before edge in any of them surfaces
+// as a detector report or a divergence.
 func TestFuzzSeedsParallel(t *testing.T) {
+	huTier := offlineTier{name: "hvn+hu", hvn: true, hu: true}
 	replayFuzzSeeds(t, []Config{
 		coreConfig(core.Naive, "bitmap", false, 4, false),
 		coreConfig(core.Naive, "bitmap", true, 4, false),
+		coreConfig(core.LCD, "bitmap", false, 2, false),
 		coreConfig(core.LCD, "bitmap", false, 4, false),
 		coreConfig(core.LCD, "bitmap", true, 4, false),
-	})
-}
-
-// TestFuzzSeedsAsync replays the committed fuzz seed corpus against the
-// asynchronous owner-sharded engine, differentially against the
-// reference solver. The interesting schedules here are different from
-// the BSP replay's: concurrent owner mailboxes, the Safra token ring's
-// termination decision, and the arbiter's full-pause cycle collapses —
-// check.sh runs this under the race detector, where a missed
-// happens-before edge in any of them surfaces as a detector report or a
-// divergence.
-func TestFuzzSeedsAsync(t *testing.T) {
-	huTier := offlineTier{name: "hvn+hu", hvn: true, hu: true}
-	replayFuzzSeeds(t, []Config{
-		coreConfigAsync(core.Naive, "bitmap", false, 4, false, true),
-		coreConfigAsync(core.Naive, "bitmap", true, 4, false, true),
-		coreConfigAsync(core.LCD, "bitmap", false, 2, false, true),
-		coreConfigAsync(core.LCD, "bitmap", true, 4, false, true),
-		coreConfigAsync(core.LCD, "bitmap", true, 8, false, true),
-		offlineConfigAsync(huTier, core.LCD, true, 4, true),
+		coreConfig(core.LCD, "bitmap", true, 8, false),
+		offlineConfig(huTier, core.LCD, true, 4),
 	})
 }
 

@@ -1,14 +1,14 @@
-// async.go implements the asynchronous owner-computes engine: the
-// scheduling half of the barrier-free propagation mode (the graph half
-// lives in package core, behind AsyncHooks).
+// Package par implements the scheduling half of parallel constraint
+// propagation for the inclusion-based solvers — asynchronous
+// owner-computes propagation in the spirit of Méndez-Lojo et al.'s
+// parallel inclusion-based points-to analysis (OOPSLA 2010). The graph
+// half lives in package core, behind AsyncHooks.
 //
-// Where the bulk-synchronous Engine drains a frontier to a barrier every
-// round, the AsyncEngine runs one persistent goroutine per owner, each
-// draining its own MPSC mailbox of work batches (points-to deltas, edge
-// inserts, post-collapse rechecks) and forwarding generated work directly
-// to the destination owners' mailboxes. There is no frontier, no barrier
-// and no merge phase — merge_share in the bench report goes to ~0 by
-// construction.
+// The AsyncEngine runs one persistent goroutine per owner, each draining
+// its own MPSC mailbox of work batches (points-to deltas, edge inserts,
+// post-collapse rechecks) and its own dirty queue, and forwarding
+// generated work directly to the destination owners' mailboxes. There is
+// no frontier, no round barrier and no merge phase.
 //
 // Termination is detected with a Dijkstra–Safra-style token ring over the
 // owners plus one arbiter participant. Every participant keeps a
@@ -20,8 +20,8 @@
 // arbiter declares quiescence after two consecutive clean laps — token
 // returned white, arbiter white and passive, and the accumulated counter
 // sum exactly zero — which implies no message is in flight and no
-// participant holds work. See docs/ALGORITHMS.md §Asynchronous
-// propagation for the proof sketch.
+// participant holds work. See docs/ALGORITHMS.md §Parallel solving for
+// the proof sketch.
 //
 // Union-find mutation (LCD cycle collapses and the HCD online rule) does
 // not partition by owner, so it serializes through the arbiter: owners
@@ -62,8 +62,8 @@ type Delta struct {
 	// SrcLen is |pts(Src)| at send time. The receiver cannot read the
 	// sender-owned set, so the size rides along for the LCD trigger: a
 	// delta that adds nothing nominates (Src, Dst) as a cycle candidate
-	// only when the two sets are also the same size — the asynchronous
-	// stand-in for the BSP trigger's full-set equality check.
+	// only when the two sets are also the same size — the cross-owner
+	// stand-in for LCD's full-set equality check.
 	SrcLen uint32
 }
 

@@ -19,9 +19,10 @@
 //
 // A factory and every set created by it are confined to one goroutine at
 // a time: the pool, the refcounts and the dedup table are unsynchronized.
-// The parallel engine respects this by mutating sets only in its
-// single-threaded barrier merge; workers read frozen backings via AsBitmap
-// and allocate from worker-private pools (see internal/par).
+// The parallel engine respects this by partitioning the sets: each owner
+// goroutine mutates only the sets of the nodes it owns, allocating from
+// an owner-private pool (NewSetIn, MutableBitmapIn), and reads them via
+// AsBitmap (see internal/par and internal/core).
 package pts
 
 import "antgrass/internal/bitmap"
@@ -217,9 +218,9 @@ func MutableBitmap(s Set) (*bitmap.Bitmap, bool) {
 
 // NewSetIn is Factory.New with an explicit element pool: the returned
 // set's backing bitmap draws its storage from pool instead of the
-// factory's own pool. The destination-sharded parallel merge uses it so
-// each owner applier allocates from owner-private storage and never
-// contends on (or corrupts) the unsynchronized factory pool. Elements are
+// factory's own pool. The parallel engine uses it so each owner allocates
+// from owner-private storage and never contends on (or corrupts) the
+// unsynchronized factory pool. Elements are
 // fungible between pools — a set created here may later be released into,
 // or union elements from, any other pool-backed set. Falls back to
 // f.New() for non-bitmap representations.
@@ -236,16 +237,16 @@ func NewSetIn(f Factory, pool *bitmap.Pool) Set {
 // MutableBitmapIn is MutableBitmap with an explicit element pool: the
 // returned bitmap's future inserts draw from pool (the backing is
 // re-pointed in place when s is sole owner, or cloned into pool when the
-// backing is shared). Owner appliers in the parallel merge call it so
-// every mutation of an owned set allocates from the owner's pool.
+// backing is shared). Parallel owners call it so every mutation of an
+// owned set allocates from the owner's pool.
 //
-// Concurrency: safe to call from concurrent appliers ONLY while the
+// Concurrency: safe to call from concurrent owners ONLY while the
 // solver's "unshared during solve" invariant holds — every graph-owned
 // backing has refcount 1 between solve start and finalization (unite
 // adopt-then-release nets to one reference; Dedup sharing happens only at
 // finalize) — because the clone path decrements the shared backing's
 // unsynchronized refcount. The clone path exists for sequential callers
-// and is exercised by tests, not by the merge.
+// and is exercised by tests, not by the parallel engine.
 func MutableBitmapIn(s Set, pool *bitmap.Pool) (*bitmap.Bitmap, bool) {
 	bs, ok := s.(*bitmapSet)
 	if !ok {

@@ -67,8 +67,8 @@ func (u *UF) Find(x uint32) uint32 {
 // internally consistent representative — parent chains only ever move
 // toward a root, never sideways) or the published new parent. Callers that
 // need the post-union representative must synchronize with the uniting
-// goroutine by other means; the asynchronous solver gets this from its
-// pause protocol, and the BSP solver from its barrier.
+// goroutine by other means; the parallel solver gets this from its pause
+// protocol.
 //
 // FindRO is NOT safe concurrently with Find: Find's path-compression
 // writes are plain stores.

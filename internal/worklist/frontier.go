@@ -1,63 +1,42 @@
 package worklist
 
-import "slices"
-
-// Frontier is the bulk-synchronous counterpart of Worklist: a deduplicating
-// set of node ids that is filled during one propagation round (the barrier
-// merge) and drained whole at the start of the next. Draining returns the
-// nodes in ascending id order regardless of push order, so a parallel round
-// sees a frontier that is deterministic for a given graph state — the
-// property the wave solver's reproducibility argument rests on.
-//
-// Plain Push is single-threaded. For the destination-sharded merge,
-// ConcurrentShards hands out per-owner fill handles that may push
-// concurrently as long as each node id is pushed through the shard of its
-// owner only (ownership partitions the id space, so the shared member
-// array is accessed race-free); Gather folds the shards back before the
-// next Drain.
+// Frontier is the FIFO worklist: a deduplicating queue of node ids. Push
+// ignores an id that is already pending; Pop returns ids in the order they
+// were first pushed, and a popped id may be re-pushed at once. New(FIFO, n)
+// returns one behind the Worklist interface; the parallel engine's owners
+// use the concrete type directly as their private dirty queues. A Frontier
+// is single-threaded: each owner touches only its own.
 type Frontier struct {
-	nodes   []uint32
-	spare   []uint32 // the previous drain's buffer, recycled on the next Drain
-	head    int      // consumed prefix of nodes (Pop); 0 under round use
-	member  []bool
-	sorted  bool
-	shards  []FrontierShard
-	handles []*FrontierShard
+	nodes  []uint32
+	head   int // consumed prefix of nodes
+	member []bool
 }
 
 // NewFrontier returns an empty frontier over nodes 0..n-1.
 func NewFrontier(n int) *Frontier {
-	return &Frontier{member: make([]bool, n), sorted: true}
+	return &Frontier{member: make([]bool, n)}
 }
 
-// Push adds x unless it is already present.
+// Push adds x unless it is already pending.
 func (f *Frontier) Push(x uint32) {
 	if f.member[x] {
 		return
 	}
 	f.member[x] = true
-	if f.sorted && len(f.nodes) > 0 && x < f.nodes[len(f.nodes)-1] {
-		f.sorted = false
-	}
 	f.nodes = append(f.nodes, x)
 }
-
-// Len returns the number of pending nodes.
-func (f *Frontier) Len() int { return len(f.nodes) - f.head }
 
 // Empty reports whether no node is pending.
 func (f *Frontier) Empty() bool { return f.head >= len(f.nodes) }
 
-// Pop removes and returns one pending node — the continuous-consumption
-// counterpart of Drain, used by the asynchronous solver's owner loops,
-// which interleave pushes and pops instead of alternating whole rounds.
-// Pop order is FIFO over pushes (no per-pop sorting); a popped node may be
-// re-pushed immediately. Mixing Pop with Drain is allowed: Drain returns
-// whatever Pop has not yet consumed.
+// Len returns the number of pending nodes.
+func (f *Frontier) Len() int { return len(f.nodes) - f.head }
+
+// Pop removes and returns the oldest pending node; false means the
+// frontier is empty. The backing slice is rewound whenever the queue
+// empties, so steady-state use does not grow it.
 func (f *Frontier) Pop() (uint32, bool) {
 	if f.head >= len(f.nodes) {
-		f.nodes = f.nodes[:0]
-		f.head = 0
 		return 0, false
 	}
 	x := f.nodes[f.head]
@@ -68,106 +47,4 @@ func (f *Frontier) Pop() (uint32, bool) {
 		f.head = 0
 	}
 	return x, true
-}
-
-// Drain removes and returns all pending nodes in ascending id order. The
-// returned slice is valid until the NEXT Drain call: the frontier keeps
-// two buffers and ping-pongs between them, so steady-state rounds push
-// into one while the solver walks the other — no per-round growth.
-func (f *Frontier) Drain() []uint32 {
-	out := f.nodes[f.head:]
-	if !f.sorted {
-		slices.Sort(out)
-	}
-	for _, x := range out {
-		f.member[x] = false
-	}
-	f.nodes, f.spare, f.head = f.spare[:0], f.nodes, 0
-	f.sorted = true
-	return out
-}
-
-// FrontierShard is one owner's private fill handle on a Frontier, handed
-// out by ConcurrentShards. Push appends to shard-private storage and
-// consults the frontier's shared member array — safe because the caller
-// guarantees each node id flows through exactly one shard.
-type FrontierShard struct {
-	f     *Frontier
-	nodes []uint32
-	// pad the struct to a cache line: shards live in one contiguous
-	// slice, and without padding two owners appending concurrently would
-	// false-share the adjacent slice headers.
-	_ [64 - 8 - 24]byte
-}
-
-// Push adds x unless it is already pending (in the frontier or any shard).
-func (s *FrontierShard) Push(x uint32) {
-	if s.f.member[x] {
-		return
-	}
-	s.f.member[x] = true
-	s.nodes = append(s.nodes, x)
-}
-
-// ConcurrentShards returns k fill handles for a concurrent merge phase.
-// The handles are owned by the frontier and reused across calls (their
-// buffers keep capacity), so a round-loop pays no per-round allocation.
-// Every handle must be used by at most one goroutine at a time, and a
-// given node id must only ever be pushed through one handle (the caller's
-// ownership partition); Gather must run before the next Drain.
-func (f *Frontier) ConcurrentShards(k int) []*FrontierShard {
-	if len(f.shards) < k {
-		f.shards = make([]FrontierShard, k)
-		f.handles = make([]*FrontierShard, k)
-		for i := range f.shards {
-			f.shards[i].f = f
-			f.handles[i] = &f.shards[i]
-		}
-	}
-	out := f.handles[:k]
-	for _, s := range out {
-		s.nodes = s.nodes[:0]
-	}
-	return out
-}
-
-// Gather folds every shard's pushes back into the frontier (single-
-// threaded; call after the concurrent phase has quiesced). Shard buffers
-// keep their capacity for the next round.
-func (f *Frontier) Gather() {
-	for i := range f.shards {
-		s := &f.shards[i]
-		if len(s.nodes) == 0 {
-			continue
-		}
-		f.sorted = false
-		f.nodes = append(f.nodes, s.nodes...)
-		s.nodes = s.nodes[:0]
-	}
-}
-
-// Shards splits nodes into at most k contiguous, nearly equal-sized
-// slices, dropping empty shards (so the result has min(k, len(nodes))
-// entries). Contiguous ranges of the ascending drain order keep each
-// worker's accesses clustered in id space.
-func Shards(nodes []uint32, k int) [][]uint32 {
-	if k < 1 {
-		k = 1
-	}
-	if k > len(nodes) {
-		k = len(nodes)
-	}
-	if k == 0 {
-		return nil
-	}
-	out := make([][]uint32, 0, k)
-	chunk := (len(nodes) + k - 1) / k
-	for start := 0; start < len(nodes); start += chunk {
-		end := start + chunk
-		if end > len(nodes) {
-			end = len(nodes)
-		}
-		out = append(out, nodes[start:end])
-	}
-	return out
 }

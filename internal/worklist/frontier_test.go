@@ -3,10 +3,24 @@ package worklist
 import (
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 )
 
+// popAll drains f with Pop and returns the nodes in pop order.
+func popAll(f *Frontier) []uint32 {
+	var out []uint32
+	for {
+		x, ok := f.Pop()
+		if !ok {
+			return out
+		}
+		out = append(out, x)
+	}
+}
+
+// TestFrontierPushDrain pins deduplication and FIFO order: duplicate
+// pushes of a pending node are dropped, and draining returns the nodes in
+// first-push order, not sorted.
 func TestFrontierPushDrain(t *testing.T) {
 	f := NewFrontier(10)
 	if !f.Empty() || f.Len() != 0 {
@@ -16,208 +30,125 @@ func TestFrontierPushDrain(t *testing.T) {
 		f.Push(x)
 	}
 	if f.Len() != 4 {
-		t.Fatalf("Len = %d after deduped pushes, want 4", f.Len())
+		t.Fatalf("Len = %d after deduplicated pushes, want 4", f.Len())
 	}
-	got := f.Drain()
-	if !reflect.DeepEqual(got, []uint32{0, 3, 7, 9}) {
-		t.Fatalf("Drain = %v, want ascending dedup", got)
+	if got := popAll(f); !reflect.DeepEqual(got, []uint32{7, 3, 9, 0}) {
+		t.Fatalf("drain = %v, want first-push order without duplicates", got)
 	}
 	if !f.Empty() {
 		t.Fatal("frontier not empty after drain")
 	}
 	// Refill after drain: membership must have been reset.
 	f.Push(3)
-	if got := f.Drain(); !reflect.DeepEqual(got, []uint32{3}) {
-		t.Fatalf("refill Drain = %v", got)
+	if got := popAll(f); !reflect.DeepEqual(got, []uint32{3}) {
+		t.Fatalf("refill drain = %v", got)
 	}
 }
 
+// TestFrontierDrainOrderRandom interleaves random pushes and pops against
+// a model queue: every pop must return the model's oldest pending node,
+// and a node is pending at most once.
 func TestFrontierDrainOrderRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(100)
 		f := NewFrontier(n)
-		seen := map[uint32]bool{}
-		for i := 0; i < rng.Intn(200); i++ {
-			x := uint32(rng.Intn(n))
-			f.Push(x)
-			seen[x] = true
-		}
-		got := f.Drain()
-		if len(got) != len(seen) {
-			t.Fatalf("drained %d nodes, want %d", len(got), len(seen))
-		}
-		for i, x := range got {
-			if !seen[x] {
-				t.Fatalf("drained unexpected node %d", x)
+		var model []uint32
+		pending := map[uint32]bool{}
+		for i := 0; i < 300; i++ {
+			if rng.Intn(3) > 0 {
+				x := uint32(rng.Intn(n))
+				f.Push(x)
+				if !pending[x] {
+					pending[x] = true
+					model = append(model, x)
+				}
+				continue
 			}
-			if i > 0 && got[i-1] >= x {
-				t.Fatalf("drain not strictly ascending: %v", got)
+			x, ok := f.Pop()
+			if ok != (len(model) > 0) {
+				t.Fatalf("trial %d: Pop ok = %v with %d pending", trial, ok, len(model))
 			}
+			if !ok {
+				continue
+			}
+			if x != model[0] {
+				t.Fatalf("trial %d: Pop = %d, want %d", trial, x, model[0])
+			}
+			model = model[1:]
+			delete(pending, x)
+		}
+		if got := popAll(f); len(got) != len(model) || (len(got) > 0 && !reflect.DeepEqual(got, model)) {
+			t.Fatalf("trial %d: final drain = %v, want %v", trial, got, model)
 		}
 	}
 }
 
-func TestShards(t *testing.T) {
-	nodes := []uint32{1, 2, 3, 4, 5, 6, 7}
-	for _, tc := range []struct {
-		k         int
-		wantCount int
-	}{
-		{1, 1},
-		{2, 2},
-		{3, 3},
-		{7, 7},
-		{100, 7}, // never more shards than nodes
-		{0, 1},   // k < 1 clamps to one shard
-	} {
-		got := Shards(nodes, tc.k)
-		if len(got) != tc.wantCount {
-			t.Fatalf("Shards(7 nodes, k=%d) has %d shards, want %d", tc.k, len(got), tc.wantCount)
-		}
-		var flat []uint32
-		for i, sh := range got {
-			if len(sh) == 0 {
-				t.Fatalf("k=%d shard %d empty", tc.k, i)
-			}
-			flat = append(flat, sh...)
-		}
-		if !reflect.DeepEqual(flat, nodes) {
-			t.Fatalf("k=%d shards reordered nodes: %v", tc.k, flat)
-		}
-	}
-	if got := Shards(nil, 4); got != nil {
-		t.Fatalf("Shards(nil) = %v, want nil", got)
-	}
-}
-
-// TestFrontierDrainReuse pins the double-buffer contract: the slice a
-// Drain returns stays valid until the NEXT Drain, and steady-state
-// rounds ping-pong between exactly two backing arrays instead of
-// growing fresh ones.
+// TestFrontierDrainReuse pins re-pushing after a pop: a popped node is no
+// longer pending, so pushing it again queues it behind the nodes still
+// waiting — the owner loop relies on this to requeue a node whose set
+// grew while it was being processed.
 func TestFrontierDrainReuse(t *testing.T) {
-	f := NewFrontier(64)
+	f := NewFrontier(16)
 	for _, x := range []uint32{5, 1, 9} {
 		f.Push(x)
 	}
-	first := f.Drain()
-	if !reflect.DeepEqual(first, []uint32{1, 5, 9}) {
-		t.Fatalf("first Drain = %v", first)
+	if x, _ := f.Pop(); x != 5 {
+		t.Fatalf("first Pop = %d, want 5", x)
 	}
-	// Pushing the next round must not clobber the drained slice.
-	for _, x := range []uint32{2, 8} {
-		f.Push(x)
-	}
-	if !reflect.DeepEqual(first, []uint32{1, 5, 9}) {
-		t.Fatalf("pushes corrupted previous drain: %v", first)
-	}
-	second := f.Drain()
-	if !reflect.DeepEqual(second, []uint32{2, 8}) {
-		t.Fatalf("second Drain = %v", second)
-	}
-	// Third round: with both rounds at most the warmed capacity, the
-	// buffer returned now must reuse the first drain's backing array.
-	f.Push(4)
-	third := f.Drain()
-	if !reflect.DeepEqual(third, []uint32{4}) {
-		t.Fatalf("third Drain = %v", third)
-	}
-	if &third[0] != &first[0] {
-		t.Fatal("third Drain did not recycle the first drain's buffer")
+	f.Push(5) // re-push right after its pop
+	f.Push(1) // still pending: dropped
+	if got := popAll(f); !reflect.DeepEqual(got, []uint32{1, 9, 5}) {
+		t.Fatalf("drain = %v, want [1 9 5]", got)
 	}
 }
 
-// TestFrontierConcurrentShards drives the per-owner fill handles from
-// concurrent goroutines under the ownership partition (id mod k) and
-// checks Gather + Drain yield the deduplicated ascending union.
-func TestFrontierConcurrentShards(t *testing.T) {
-	const n, k = 1000, 4
-	f := NewFrontier(n)
-	f.Push(12) // pre-gather membership must suppress shard re-pushes
-	shards := f.ConcurrentShards(k)
-	if len(shards) != k {
-		t.Fatalf("ConcurrentShards returned %d handles, want %d", len(shards), k)
-	}
-	var wg sync.WaitGroup
-	for o := 0; o < k; o++ {
-		wg.Add(1)
-		go func(o int) {
-			defer wg.Done()
-			s := shards[o]
-			for x := uint32(o); x < n; x += k {
-				if x%3 == 0 || x == 12 {
-					s.Push(x)
-					s.Push(x) // duplicate: must dedup
-				}
-			}
-		}(o)
-	}
-	wg.Wait()
-	f.Gather()
-	got := f.Drain()
-	var want []uint32
-	for x := uint32(0); x < n; x++ {
-		if x%3 == 0 || x == 12 {
-			want = append(want, x)
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Drain after Gather = %d nodes, want %d (got %v...)", len(got), len(want), got[:min(len(got), 8)])
-	}
-	// Handles are persistent: a second round must hand back the same
-	// shard objects with emptied buffers.
-	again := f.ConcurrentShards(k)
-	for i := range again {
-		if again[i] != shards[i] {
-			t.Fatalf("shard %d reallocated across rounds", i)
-		}
-		if len(again[i].nodes) != 0 {
-			t.Fatalf("shard %d not emptied: %v", i, again[i].nodes)
-		}
-	}
-}
-
-// TestFrontierSteadyStateAllocs is the hard form of the reuse property:
-// after warmup, a push/shard/gather/drain round allocates nothing.
+// TestFrontierSteadyStateAllocs checks that a warmed frontier's
+// push/pop cycle allocates nothing: the queue rewinds its backing slice
+// whenever it empties instead of growing it.
 func TestFrontierSteadyStateAllocs(t *testing.T) {
-	const n, k = 512, 4
+	const n = 512
 	f := NewFrontier(n)
 	round := func() {
-		shards := f.ConcurrentShards(k)
-		for o := 0; o < k; o++ {
-			for x := uint32(o); x < n; x += k {
-				shards[o].Push(x)
-			}
+		for x := uint32(0); x < n; x++ {
+			f.Push(x)
+			f.Push(x)
 		}
-		f.Gather()
-		if got := f.Drain(); len(got) != n {
-			t.Fatalf("drained %d, want %d", len(got), n)
+		if got := len(popAll(f)); got != n {
+			t.Fatalf("drained %d, want %d", got, n)
 		}
 	}
-	round() // warm both ping-pong buffers and the shard capacities
-	round()
-	if avg := testing.AllocsPerRun(20, round); avg != 0 {
-		t.Fatalf("steady-state round allocates %.1f times, want 0", avg)
+	round() // warm the backing slice
+	pushPop := func() {
+		for x := uint32(0); x < n; x++ {
+			f.Push(x)
+		}
+		for {
+			if _, ok := f.Pop(); !ok {
+				break
+			}
+		}
+	}
+	if avg := testing.AllocsPerRun(20, pushPop); avg != 0 {
+		t.Fatalf("steady-state push/pop allocates %.1f times, want 0", avg)
 	}
 }
 
-// BenchmarkFrontierDrainReuse measures a steady-state frontier round.
-// The headline number is allocs/op: it must be 0 — the wave engine runs
-// one of these per propagation round, and before the double-buffered
-// Drain each round grew a fresh nodes slice.
-func BenchmarkFrontierDrainReuse(b *testing.B) {
-	const n, k = 4096, 8
+// BenchmarkFrontierPushPop measures a steady-state fill-and-empty cycle of
+// an owner's dirty queue.
+func BenchmarkFrontierPushPop(b *testing.B) {
+	const n = 4096
 	f := NewFrontier(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		shards := f.ConcurrentShards(k)
-		for o := 0; o < k; o++ {
-			for x := uint32(o); x < n; x += k {
-				shards[o].Push(x)
+		for x := uint32(0); x < n; x++ {
+			f.Push(x)
+		}
+		for {
+			if _, ok := f.Pop(); !ok {
+				break
 			}
 		}
-		f.Gather()
-		f.Drain()
 	}
 }

@@ -62,7 +62,7 @@ func New(k Kind, n int) Worklist {
 	case LRF:
 		return newLRF(n)
 	default:
-		return &queue{member: make([]bool, n)}
+		return NewFrontier(n)
 	}
 }
 
@@ -73,37 +73,6 @@ func New(k Kind, n int) Worklist {
 func NewDivided(k Kind, n int) Worklist {
 	return &divided{cur: New(k, n), next: New(k, n)}
 }
-
-type queue struct {
-	buf    []uint32
-	head   int
-	member []bool
-}
-
-func (q *queue) Push(x uint32) {
-	if q.member[x] {
-		return
-	}
-	q.member[x] = true
-	q.buf = append(q.buf, x)
-}
-
-func (q *queue) Pop() (uint32, bool) {
-	if q.head >= len(q.buf) {
-		return 0, false
-	}
-	x := q.buf[q.head]
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	q.member[x] = false
-	return x, true
-}
-
-func (q *queue) Empty() bool { return q.head >= len(q.buf) }
-func (q *queue) Len() int    { return len(q.buf) - q.head }
 
 type stack struct {
 	buf    []uint32

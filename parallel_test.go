@@ -20,7 +20,8 @@ func TestParallelWorkloadsIdentical(t *testing.T) {
 	if testing.Short() {
 		scale = 0.03
 	}
-	for _, name := range antgrass.WorkloadNames() {
+	for _, w := range antgrass.Workloads() {
+		name := w.Name
 		p, err := antgrass.Workload(name, scale)
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +77,7 @@ func TestSolveContextDeadlineMidSolve(t *testing.T) {
 		// Sequential wine/Naive takes seconds; 30ms lands mid-solve.
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 		start := time.Now()
-		r, err := antgrass.SolveContext(ctx, p, antgrass.Options{Algorithm: antgrass.Naive, Workers: wk})
+		r, err := antgrass.Solve(ctx, p, antgrass.Options{Algorithm: antgrass.Naive, Workers: wk})
 		elapsed := time.Since(start)
 		cancel()
 		if r != nil {
@@ -85,32 +86,11 @@ func TestSolveContextDeadlineMidSolve(t *testing.T) {
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("workers=%d: error %v does not wrap DeadlineExceeded", wk, err)
 		}
-		// "Promptly" = well under the multi-second full solve. Rounds can
-		// legitimately take a while, so leave slack for slow machines.
+		// "Promptly" = well under the multi-second full solve. Owners check
+		// the context every few thousand pops, so leave slack for slow
+		// machines.
 		if elapsed > 5*time.Second {
 			t.Fatalf("workers=%d: cancellation took %v", wk, elapsed)
-		}
-	}
-}
-
-// TestSolveEqualsSolveContext pins the delegation contract.
-func TestSolveEqualsSolveContext(t *testing.T) {
-	p, err := antgrass.Workload("emacs", 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := antgrass.Solve(context.Background(), p, antgrass.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := antgrass.SolveContext(context.Background(), p, antgrass.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < p.NumVars; v++ {
-		av, bv := a.PointsTo(uint32(v)), b.PointsTo(uint32(v))
-		if len(av) != len(bv) {
-			t.Fatalf("pts(v%d) differs between Solve and SolveContext", v)
 		}
 	}
 }

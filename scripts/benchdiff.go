@@ -5,25 +5,19 @@
 // Usage:
 //
 //	go run ./scripts/benchdiff.go [-threshold 15] [-min-seconds 0.05] \
-//	    [-alloc-threshold 10] [-mem-threshold 10] [-merge-share 0.9] \
-//	    old.json new.json
+//	    [-alloc-threshold 10] [-mem-threshold 10] old.json new.json
 //
 // Runs are matched by (bench, algo, pts, workers). Exit status:
 //
 //	0 — no run regressed on any gated dimension
 //	1 — at least one regression (wall clock beyond -threshold, allocs
 //	    beyond -alloc-threshold, peak heap beyond -mem-threshold, a
-//	    parallel run of new.json whose merge phase consumed more than
-//	    -merge-share of merge+compute time, a workload whose HVN+HU
-//	    offline constraint reduction beyond OVS-only shrank by more than
-//	    -offline-threshold percent relative, or an async cell that failed
-//	    a gate: wall clock beyond -async-threshold on matched cells, or —
-//	    unconditionally, for every async cell of new.json — a nonzero
-//	    merge_share, a zero message count, or a recorded error, or a memo
-//	    cell of new.json with a recorded error or a hit rate below
-//	    -memo-threshold percent), or a run
-//	    present in old.json is missing from new.json (a silently dropped
-//	    benchmark must not pass)
+//	    workload whose HVN+HU offline constraint reduction beyond
+//	    OVS-only shrank by more than -offline-threshold percent relative,
+//	    a serve or go_frontend cell beyond its gate, or a memo cell of
+//	    new.json with a recorded error or a hit rate below
+//	    -memo-threshold percent), or a run present in old.json is missing
+//	    from new.json (a silently dropped benchmark must not pass)
 //	2 — usage or report-parsing error (including a schema_version this
 //	    tool does not understand)
 //
@@ -48,14 +42,12 @@ func main() {
 	minSeconds := flag.Float64("min-seconds", 0.05, "ignore runs where both sides are under this many seconds")
 	allocThreshold := flag.Float64("alloc-threshold", 10, "fail when a run allocates more than this percent more (0 disables)")
 	memThreshold := flag.Float64("mem-threshold", 10, "fail when a run's peak heap grows more than this percent (0 disables)")
-	mergeShare := flag.Float64("merge-share", 0, "fail when a parallel run's merge_ns/(merge_ns+compute_ns) exceeds this fraction (0 disables)")
 	serveThreshold := flag.Float64("serve-threshold", 50, "fail when a serve run's p99 query latency grows more than this percent (0 disables; matched serve runs with errors always fail)")
 	offlineThreshold := flag.Float64("offline-threshold", 10, "fail when a workload's HVN+HU extra reduction beyond OVS-only shrinks by more than this percent relative to the baseline (0 disables)")
 	goThreshold := flag.Float64("go-threshold", 50, "fail when a go_frontend cell's constraint or call-edge count drifts more than this percent in either direction (0 disables; a cell with an error or empty callgraph always fails)")
-	asyncThreshold := flag.Float64("async-threshold", 0, "fail when a matched async cell's wall clock grows more than this percent (0 disables the wall gate; every async cell of new.json is still hard-gated on merge_share == 0, nonzero messages and no error)")
 	memoThreshold := flag.Float64("memo-threshold", 0, "fail when a memo cell of new.json reports a hit rate below this percent (0 disables the hit-rate gate; every memo cell of new.json is still hard-gated on no error, and matched cells on the main wall threshold)")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold pct] [-min-seconds s] [-alloc-threshold pct] [-mem-threshold pct] [-merge-share frac] old.json new.json")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold pct] [-min-seconds s] [-alloc-threshold pct] [-mem-threshold pct] old.json new.json")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -76,17 +68,15 @@ func main() {
 		MinSeconds:              *minSeconds,
 		AllocThresholdPercent:   *allocThreshold,
 		MemThresholdPercent:     *memThreshold,
-		MergeShareMax:           *mergeShare,
 		ServeThresholdPercent:   *serveThreshold,
 		OfflineThresholdPercent: *offlineThreshold,
 		GoThresholdPercent:      *goThreshold,
-		AsyncThresholdPercent:   *asyncThreshold,
 		MemoThresholdPercent:    *memoThreshold,
 	})
 	diff.Print(os.Stdout)
 	if diff.Failed() {
-		fmt.Fprintf(os.Stderr, "benchdiff: FAIL (wall %.1f%%, allocs %.1f%%, peak-mem %.1f%%, merge-share %.2f)\n",
-			*threshold, *allocThreshold, *memThreshold, *mergeShare)
+		fmt.Fprintf(os.Stderr, "benchdiff: FAIL (wall %.1f%%, allocs %.1f%%, peak-mem %.1f%%)\n",
+			*threshold, *allocThreshold, *memThreshold)
 		os.Exit(1)
 	}
 	fmt.Println("benchdiff: OK")

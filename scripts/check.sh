@@ -6,24 +6,22 @@
 # With no argument every stage runs in order; CI splits the work across
 # matrix jobs by naming one stage group:
 #
-#   static     — stages 1-3 (gofmt, vet per build configuration, build)
+#   static     — stages 1-3 (gofmt, vet, build)
 #   test       — stages 4-5 (full test suite, corpus replay by name)
 #   race       — stages 6-8 (race-detector passes, fuzz-seed replays,
-#                gccheckmark smoke)
+#                antsolve -workers 4 end-to-end vs sequential, gccheckmark
+#                smoke)
 #   serve      — stage 9 (end-to-end daemon gate)
 #   gofrontend — stage 10 (Go front end: golden/spec/e2e/differential
 #                tests by name, then antgo self-analysis end-to-end)
-#   async      — stage 11 (asynchronous engine: named async tests and the
-#                async fuzz-seed replay under -race, then antsolve -async
-#                end-to-end with its solution diffed against sequential)
-#   memo       — stage 12 (operation memoization: the memo/pts unit tests
+#   memo       — stage 11 (operation memoization: the memo/pts unit tests
 #                and the memo property/fuzz-seed replays under -race, then
-#                antsolve -memo end-to-end — sequential and async — with
-#                the solutions diffed against plain solving)
+#                antsolve -memo end-to-end with the solution diffed against
+#                plain solving)
 #
 # The stages:
 #   1. a gofmt gate (fails listing any unformatted file);
-#   2. go vet over every package, once per build configuration;
+#   2. go vet over every package;
 #   3. the full build;
 #   4. the full test suite;
 #   5. an explicit replay of the differential-testing seed corpus
@@ -32,16 +30,16 @@
 #      so a corpus regression is called out unmistakably in CI logs;
 #   6. a race-detector pass over the concurrency-bearing packages
 #      (internal/par, internal/core, internal/worklist, internal/metrics)
-#      in -short mode, so the parallel engine's lock-free compute phase,
-#      the work-stealing deques, the concurrent frontier shards and the
-#      metrics registry are exercised under the race detector on every
-#      change — plus a -race replay of the committed fuzz seed corpus
-#      against the parallel configurations at four workers (race builds
-#      force at least two concurrent merge appliers, so the
-#      destination-sharded merge runs concurrently even on one CPU) and
-#      against the offline HVN/HU value-numbering tiers, so every seed
-#      that ever broke a solver also pins the reduction passes as
-#      solution-preserving;
+#      in -short mode, so the parallel engine's owner goroutines and
+#      mailboxes, the token-ring termination detector, the arbiter's
+#      collapse pauses and the metrics registry are exercised under the
+#      race detector on every change — plus a -race replay of the
+#      committed fuzz seed corpus against the parallel configurations at
+#      two, four and eight workers and against the offline HVN/HU
+#      value-numbering tiers, so every seed that ever broke a solver also
+#      pins the parallel engine and the reduction passes — and an
+#      end-to-end antsolve run: the same workload solved sequentially and
+#      with -workers 4, gating on byte-identical points-to solutions;
 #   7. a GODEBUG=gccheckmark=1 smoke run of the pool and COW tests:
 #      checkmark mode re-marks the heap after every GC cycle and aborts
 #      on any object the concurrent mark missed, so a pooled element
@@ -62,20 +60,11 @@
 #      name (so a front-end regression is called out unmistakably), then
 #      antgo built and run on this repository end-to-end, failing unless
 #      it produces a non-empty call graph;
-#  11. the asynchronous-engine gate: every TestAsync* unit and oracle
-#      test under the race detector (token-ring termination, pause
-#      collapses, oracle equivalence, the bench sweep invariants), the
-#      fuzz seed corpus replayed through the async configurations under
-#      -race, and an end-to-end antsolve run — the same workload solved
-#      sequentially and with -async -workers 4, gating on byte-identical
-#      points-to solutions;
-#  12. the memoization gate: the internal/memo and pts interning unit
+#  11. the memoization gate: the internal/memo and pts interning unit
 #      tests plus the memo property test and fuzz-seed replay under the
-#      race detector (the parallel shard path hashes cross-owner delta
-#      payloads concurrently, so a mutating Hash surfaces here), then an
-#      end-to-end antsolve run — the same workload solved plain, with
-#      -memo, and with -memo -async -workers 4, gating on byte-identical
-#      points-to solutions.
+#      race detector, then an end-to-end antsolve run — the same workload
+#      solved plain and with -memo, gating on byte-identical points-to
+#      solutions.
 #
 # /bin/sh has no pipefail, so every stage below is a plain command (or
 # a command substitution) — never a pipeline — and set -e stops the
@@ -85,9 +74,9 @@ cd "$(dirname "$0")/.."
 
 stage="${1:-all}"
 case "$stage" in
-all | static | test | race | serve | gofrontend | async | memo) ;;
+all | static | test | race | serve | gofrontend | memo) ;;
 *)
-	echo "usage: check.sh [all|static|test|race|serve|gofrontend|async|memo]" >&2
+	echo "usage: check.sh [all|static|test|race|serve|gofrontend|memo]" >&2
 	exit 2
 	;;
 esac
@@ -121,13 +110,6 @@ if want static; then
 
 	echo "==> go vet ./..."
 	go vet ./...
-	# Build configurations beyond the default. The race tag gates the
-	# forced-concurrent-merge constant in internal/core (race_on.go).
-	extra_tags="race"
-	for tags in $extra_tags; do
-		echo "==> go vet -tags $tags ./..."
-		go vet -tags "$tags" ./...
-	done
 
 	echo "==> go build ./..."
 	go build ./...
@@ -150,6 +132,35 @@ if want race; then
 
 	echo "==> go test -race -count=1 -run TestFuzzSeedsOffline ./internal/oracle"
 	go test -race -count=1 -run TestFuzzSeedsOffline ./internal/oracle
+
+	echo "==> antsolve -workers 4 end-to-end vs sequential"
+	pardir=$(mktemp -d "${TMPDIR:-/tmp}/antgrass-parallel.XXXXXX")
+	cleanup_parallel() {
+		rm -rf "$pardir"
+		if [ -n "${tmpcache:-}" ]; then
+			rm -rf "$tmpcache"
+		fi
+	}
+	# Replaces the earlier throwaway-GOCACHE trap, so it also removes
+	# $tmpcache when that branch was taken.
+	trap cleanup_parallel EXIT INT TERM
+	go build -o "$pardir/antsynth" ./cmd/antsynth
+	go build -o "$pardir/antsolve" ./cmd/antsolve
+	"$pardir/antsynth" -bench emacs -scale 0.1 -o "$pardir/prog.constraints"
+	"$pardir/antsolve" -alg lcd -hcd -print "$pardir/prog.constraints" >"$pardir/seq.txt"
+	"$pardir/antsolve" -alg lcd -hcd -workers 4 -print "$pardir/prog.constraints" >"$pardir/par.txt"
+	# Compare only the solution lines ("name -> {...}"); the headers
+	# carry wall-clock times that legitimately differ. grep exits 1 on an
+	# empty solution, failing the stage under set -e.
+	grep ' -> {' "$pardir/seq.txt" >"$pardir/seq.sol"
+	grep ' -> {' "$pardir/par.txt" >"$pardir/par.sol"
+	if ! cmp -s "$pardir/seq.sol" "$pardir/par.sol"; then
+		echo "parallel: antsolve -workers 4 solution differs from sequential:" >&2
+		diff "$pardir/seq.sol" "$pardir/par.sol" >&2 || true
+		exit 1
+	fi
+	echo "parallel solution matches sequential ($(wc -l <"$pardir/seq.sol") non-empty sets)"
+	rm -rf "$pardir"
 
 	echo "==> GODEBUG=gccheckmark=1 go test -count=1 -run 'TestPool|TestPooled|TestCursor|TestCOW|TestRelease|TestDedup' ./internal/bitmap ./internal/pts"
 	GODEBUG=gccheckmark=1 go test -count=1 -run 'TestPool|TestPooled|TestCursor|TestCOW|TestRelease|TestDedup' ./internal/bitmap ./internal/pts
@@ -223,42 +234,6 @@ if want gofrontend; then
 	esac
 fi
 
-if want async; then
-	echo "==> go test -race -count=1 -run 'TestAsync' ./internal/par ./internal/core ./internal/bench"
-	go test -race -count=1 -run 'TestAsync' ./internal/par ./internal/core ./internal/bench
-
-	echo "==> go test -race -count=1 -run TestFuzzSeedsAsync ./internal/oracle"
-	go test -race -count=1 -run TestFuzzSeedsAsync ./internal/oracle
-
-	echo "==> antsolve -async end-to-end vs sequential"
-	asyncdir=$(mktemp -d "${TMPDIR:-/tmp}/antgrass-async.XXXXXX")
-	cleanup_async() {
-		rm -rf "$asyncdir"
-		if [ -n "${tmpcache:-}" ]; then
-			rm -rf "$tmpcache"
-		fi
-	}
-	# Replaces the earlier throwaway-GOCACHE trap, so it also removes
-	# $tmpcache when that branch was taken.
-	trap cleanup_async EXIT INT TERM
-	go build -o "$asyncdir/antsynth" ./cmd/antsynth
-	go build -o "$asyncdir/antsolve" ./cmd/antsolve
-	"$asyncdir/antsynth" -bench emacs -scale 0.1 -o "$asyncdir/prog.constraints"
-	"$asyncdir/antsolve" -alg lcd -hcd -print "$asyncdir/prog.constraints" >"$asyncdir/seq.txt"
-	"$asyncdir/antsolve" -alg lcd -hcd -workers 4 -async -print "$asyncdir/prog.constraints" >"$asyncdir/async.txt"
-	# Compare only the solution lines ("name -> {...}"); the headers
-	# carry wall-clock times that legitimately differ. grep exits 1 on an
-	# empty solution, failing the stage under set -e.
-	grep ' -> {' "$asyncdir/seq.txt" >"$asyncdir/seq.sol"
-	grep ' -> {' "$asyncdir/async.txt" >"$asyncdir/async.sol"
-	if ! cmp -s "$asyncdir/seq.sol" "$asyncdir/async.sol"; then
-		echo "async: antsolve -async solution differs from sequential:" >&2
-		diff "$asyncdir/seq.sol" "$asyncdir/async.sol" >&2 || true
-		exit 1
-	fi
-	echo "async solution matches sequential ($(wc -l <"$asyncdir/seq.sol") non-empty sets)"
-fi
-
 if want memo; then
 	echo "==> go test -race -count=1 ./internal/memo"
 	go test -race -count=1 ./internal/memo
@@ -285,21 +260,17 @@ if want memo; then
 	"$memodir/antsynth" -bench emacs -scale 0.1 -o "$memodir/prog.constraints"
 	"$memodir/antsolve" -alg lcd -hcd -print "$memodir/prog.constraints" >"$memodir/plain.txt"
 	"$memodir/antsolve" -alg lcd -hcd -memo -print "$memodir/prog.constraints" >"$memodir/memo.txt"
-	"$memodir/antsolve" -alg lcd -hcd -memo -workers 4 -async -print "$memodir/prog.constraints" >"$memodir/memo-async.txt"
 	# Compare only the solution lines ("name -> {...}"); the headers
 	# carry wall-clock times that legitimately differ. grep exits 1 on an
 	# empty solution, failing the stage under set -e.
 	grep ' -> {' "$memodir/plain.txt" >"$memodir/plain.sol"
 	grep ' -> {' "$memodir/memo.txt" >"$memodir/memo.sol"
-	grep ' -> {' "$memodir/memo-async.txt" >"$memodir/memo-async.sol"
-	for sol in memo memo-async; do
-		if ! cmp -s "$memodir/plain.sol" "$memodir/$sol.sol"; then
-			echo "memo: antsolve $sol solution differs from plain:" >&2
-			diff "$memodir/plain.sol" "$memodir/$sol.sol" >&2 || true
-			exit 1
-		fi
-	done
-	echo "memo solutions match plain ($(wc -l <"$memodir/plain.sol") non-empty sets)"
+	if ! cmp -s "$memodir/plain.sol" "$memodir/memo.sol"; then
+		echo "memo: antsolve -memo solution differs from plain:" >&2
+		diff "$memodir/plain.sol" "$memodir/memo.sol" >&2 || true
+		exit 1
+	fi
+	echo "memo solution matches plain ($(wc -l <"$memodir/plain.sol") non-empty sets)"
 fi
 
 echo "OK"

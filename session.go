@@ -274,11 +274,11 @@ type Session struct {
 func resumableConfig(o Options) bool {
 	algOK := o.Algorithm == "" || o.Algorithm == Naive || o.Algorithm == LCD
 	ptsOK := o.Pts == "" || o.Pts == Bitmap
-	// Async (like Workers ≥ 2) is excluded: the live resume path keeps a
-	// sequential worklist warm, and the engines' owner-sharded state is
-	// not retained between solves. Async sessions replay each update
-	// through solveOnce, which still honors the flag.
-	return algOK && ptsOK && !o.HVN && !o.HU && !o.OVS && o.Workers < 2 && !o.Async
+	// Parallel solving (Workers ≥ 2) is excluded: the live resume path
+	// keeps a sequential worklist warm, and the engine's owner-sharded
+	// state is not retained between solves. Parallel sessions replay each
+	// update through solveOnce, which still honors Workers.
+	return algOK && ptsOK && !o.HVN && !o.HU && !o.OVS && o.Workers < 2
 }
 
 // coreLiveOptions translates o for core.NewLive.
