@@ -152,9 +152,9 @@ func Solve(p *constraint.Program, opts core.Options) (*core.Result, error) {
 	s.stats.SolveDuration = time.Since(start)
 	s.stats.MemBytes = int64(m.MemBytes() + s.nodes.MemBytes())
 	res := core.NewResult(p, s.nodes, sets, s.stats)
-	finalizeSpan.End()
 	reg.SampleMem()
 	s.stats.Export(reg)
+	finalizeSpan.End()
 	return res, nil
 }
 

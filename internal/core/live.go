@@ -150,8 +150,8 @@ func (l *Live) Finalize(m *metrics.Registry) {
 		}
 	}
 	l.g.stats.MemBytes = l.g.memBytes()
-	span.End()
 	l.ExportMetrics(m)
+	span.End()
 }
 
 // ExportMetrics writes the cumulative cost counters and memory-engine

@@ -170,33 +170,47 @@ func TestProgressEvents(t *testing.T) {
 	}
 }
 
-// TestUseParallelGating pins down which configurations dispatch to the
-// parallel engine: Naive or LCD, bitmap-backed sets (pooled or plain), and
-// Workers ≥ 2. Everything else solves sequentially.
+// gatingCase is one row of the parallel-dispatch table shared by
+// TestUseParallelGating (the predicate) and TestAsyncUseGating (the
+// dispatch inside SolveContext). pts builds the row's set factory for
+// element ids in [0, universe).
+type gatingCase struct {
+	alg     Algorithm
+	workers int
+	pts     func(universe uint32) pts.Factory
+	want    bool
+}
+
+var (
+	bitmapGating = func(uint32) pts.Factory { return pts.NewBitmapFactory() }
+	plainGating  = func(uint32) pts.Factory { return pts.NewPlainBitmapFactory() }
+	bddGating    = func(u uint32) pts.Factory { return pts.NewBDDFactory(u, 0) }
+)
+
+// gatingCases lists which configurations run the parallel engine: Naive
+// or LCD, bitmap-backed sets (pooled or plain), and Workers ≥ 2.
+// Everything else solves sequentially.
+var gatingCases = []gatingCase{
+	{LCD, 0, bitmapGating, false},
+	{LCD, 1, bitmapGating, false},
+	{LCD, 2, bitmapGating, true},
+	{Naive, 8, bitmapGating, true},
+	{LCD, 4, plainGating, true},
+	{LCD, 8, bddGating, false},
+	{HT, 4, bitmapGating, false},
+	{PKH, 4, bitmapGating, false},
+	{PKW, 4, bitmapGating, false},
+}
+
+// TestUseParallelGating pins down useParallel's verdict on every row of
+// the gating table.
 func TestUseParallelGating(t *testing.T) {
-	bitmapF := pts.NewBitmapFactory()
-	plainF := pts.NewPlainBitmapFactory()
-	bddF := pts.NewBDDFactory(16, 0)
-	for _, tc := range []struct {
-		alg     Algorithm
-		workers int
-		pts     pts.Factory
-		want    bool
-	}{
-		{LCD, 0, bitmapF, false},
-		{LCD, 1, bitmapF, false},
-		{LCD, 2, bitmapF, true},
-		{Naive, 8, bitmapF, true},
-		{LCD, 4, plainF, true},
-		{LCD, 8, bddF, false},
-		{HT, 4, bitmapF, false},
-		{PKH, 4, bitmapF, false},
-		{PKW, 4, bitmapF, false},
-	} {
-		opts := Options{Algorithm: tc.alg, Workers: tc.workers, Pts: tc.pts}
+	for _, tc := range gatingCases {
+		f := tc.pts(16)
+		opts := Options{Algorithm: tc.alg, Workers: tc.workers, Pts: f}
 		if got := useParallel(opts); got != tc.want {
 			t.Errorf("useParallel(%v, workers=%d, pts=%s) = %v, want %v",
-				tc.alg, tc.workers, tc.pts.Name(), got, tc.want)
+				tc.alg, tc.workers, f.Name(), got, tc.want)
 		}
 	}
 }

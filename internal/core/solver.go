@@ -331,11 +331,11 @@ func SolveContext(ctx context.Context, p *constraint.Program, opts Options) (*Re
 	}
 	g.stats.MemBytes = g.memBytes()
 	res := NewResult(p, g.nodes, g.sets, *g.stats)
-	finalizeSpan.End()
 	m.SampleMem()
 	g.stats.Export(m)
 	g.exportAllocStats(m, opts.Pts)
 	g.exportMemoStats(m, opts)
+	finalizeSpan.End()
 	return res, nil
 }
 

@@ -55,7 +55,8 @@ const (
 	// PhaseSolve is the online fixpoint computation proper.
 	PhaseSolve = "solve.online"
 	// PhaseFinalize is post-solve accounting (memory footprint,
-	// solution extraction).
+	// solution extraction, the closing memory sample and counter
+	// export), so a solve's phases cover its wall clock.
 	PhaseFinalize = "finalize"
 )
 

@@ -45,23 +45,33 @@ func readFuzzSeed(t *testing.T, path string) []byte {
 }
 
 // TestFuzzSeedsParallel replays the committed fuzz seed corpus against
-// the parallel engine, differentially against the reference solver. The
-// fuzz campaigns that produced these seeds ran the full matrix; this
-// replay pins the parallel configurations specifically because check.sh
-// runs it under the race detector, where the full matrix would be too
-// slow. The interesting schedules are concurrent owner mailboxes, the
-// Safra token ring's termination decision and the arbiter's full-pause
-// cycle collapses, at two, four and eight owners and behind the HVN+HU
-// offline ladder — a missed happens-before edge in any of them surfaces
-// as a detector report or a divergence.
+// the parallel engine at four owners, differentially against the
+// reference solver. The fuzz campaigns that produced these seeds ran the
+// full matrix; this replay pins the parallel configurations specifically
+// because check.sh runs it under the race detector, where the full
+// matrix would be too slow. The interesting schedules are concurrent
+// owner mailboxes, the Safra token ring's termination decision and the
+// arbiter's full-pause cycle collapses — a missed happens-before edge in
+// any of them surfaces as a detector report or a divergence.
 func TestFuzzSeedsParallel(t *testing.T) {
-	huTier := offlineTier{name: "hvn+hu", hvn: true, hu: true}
 	replayFuzzSeeds(t, []Config{
 		coreConfig(core.Naive, "bitmap", false, 4, false),
 		coreConfig(core.Naive, "bitmap", true, 4, false),
-		coreConfig(core.LCD, "bitmap", false, 2, false),
 		coreConfig(core.LCD, "bitmap", false, 4, false),
 		coreConfig(core.LCD, "bitmap", true, 4, false),
+	})
+}
+
+// TestFuzzSeedsAsync replays the same corpus against the asynchronous
+// owner-sharded engine in the shapes the four-owner replay does not
+// reach: the shortest token ring (two owners), the longest (eight, with
+// HCD's owner-side collapse requests) and the engine behind the HVN+HU
+// offline ladder. check.sh runs it under the race detector next to
+// TestFuzzSeedsParallel.
+func TestFuzzSeedsAsync(t *testing.T) {
+	huTier := offlineTier{name: "hvn+hu", hvn: true, hu: true}
+	replayFuzzSeeds(t, []Config{
+		coreConfig(core.LCD, "bitmap", false, 2, false),
 		coreConfig(core.LCD, "bitmap", true, 8, false),
 		offlineConfig(huTier, core.LCD, true, 4),
 	})

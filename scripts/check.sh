@@ -127,8 +127,8 @@ if want race; then
 	echo "==> go test -race -short ./internal/par ./internal/core ./internal/worklist ./internal/metrics"
 	go test -race -short ./internal/par ./internal/core ./internal/worklist ./internal/metrics
 
-	echo "==> go test -race -count=1 -run TestFuzzSeedsParallel ./internal/oracle"
-	go test -race -count=1 -run TestFuzzSeedsParallel ./internal/oracle
+	echo "==> go test -race -count=1 -run 'TestFuzzSeedsParallel|TestFuzzSeedsAsync' ./internal/oracle"
+	go test -race -count=1 -run 'TestFuzzSeedsParallel|TestFuzzSeedsAsync' ./internal/oracle
 
 	echo "==> go test -race -count=1 -run TestFuzzSeedsOffline ./internal/oracle"
 	go test -race -count=1 -run TestFuzzSeedsOffline ./internal/oracle
