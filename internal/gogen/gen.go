@@ -67,7 +67,7 @@ type generator struct {
 	l    *loader
 	unit *cgen.Unit
 	prog *constraint.Program
-	info *types.Info
+	info *types.Info // of the package being generated
 
 	vars    map[types.Object]uint32
 	funcs   map[types.Object]*funcInfo
@@ -92,7 +92,6 @@ func newGenerator(l *loader) *generator {
 	g := &generator{
 		l:    l,
 		prog: constraint.NewProgram(),
-		info: l.info,
 		unit: &cgen.Unit{
 			Funcs:   map[string]uint32{},
 			Globals: map[string]uint32{},
@@ -141,15 +140,24 @@ func (g *generator) object(kind string, p token.Pos) uint32 {
 func (g *generator) generate(pkgs []*loadedPackage) error {
 	g.unit.Warnings = append(g.unit.Warnings, g.l.warns...)
 	for _, p := range pkgs {
+		g.info = p.info
 		for _, f := range p.files {
 			g.declareFile(p, f)
 		}
 	}
 	for _, p := range pkgs {
+		g.info = p.info
 		for _, f := range p.files {
 			g.genFile(p, f)
 		}
+		// Nothing reads a generated package's syntax or type information
+		// again. Dropping them here, instead of when Compile returns, lets
+		// the collector reclaim the front end package by package, so the
+		// heap target the solver inherits is not sized for every target's
+		// trees at once.
+		p.files, p.info = nil, nil
 	}
+	g.info = nil
 	g.finalize()
 	if err := g.prog.Validate(); err != nil {
 		return fmt.Errorf("gogen: internal error: %v", err)

@@ -47,7 +47,8 @@ type Options struct {
 // loadedPackage is one typechecked package.
 type loadedPackage struct {
 	path   string
-	files  []*ast.File
+	files  []*ast.File // syntax of a target package; nil for a dependency
+	info   *types.Info // type information of files
 	pkg    *types.Package
 	target bool
 }
@@ -55,7 +56,7 @@ type loadedPackage struct {
 // loader parses and typechecks packages from source, caching by import
 // path. It implements types.Importer: dependency packages are typechecked
 // with IgnoreFuncBodies (the export-data role), target packages keep full
-// type information in a shared types.Info.
+// type information, one types.Info per package.
 type loader struct {
 	fset    *token.FileSet
 	ctxt    build.Context
@@ -65,7 +66,6 @@ type loader struct {
 	tests   bool
 	pkgs    map[string]*loadedPackage
 	loading map[string]bool
-	info    *types.Info
 	warns   []string
 }
 
@@ -81,13 +81,6 @@ func newLoader(o Options) (*loader, error) {
 		tests:   o.IncludeTests,
 		pkgs:    map[string]*loadedPackage{},
 		loading: map[string]bool{},
-		info: &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Implicits:  map[ast.Node]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		},
 	}
 	if o.Dir != "" {
 		dir, err := filepath.Abs(o.Dir)
@@ -202,6 +195,9 @@ func (l *loader) Import(path string) (*types.Package, error) {
 // load parses and typechecks one package (cached). Target packages are
 // typechecked with bodies and full info; dependencies skip function bodies
 // (go/types still resolves their declarations, the export-data role).
+// Only a target keeps its syntax trees: the generator walks nothing else,
+// so a dependency's trees are garbage once it is typechecked instead of
+// staying live, with every other package's, until the compile returns.
 func (l *loader) load(path string) (*loadedPackage, error) {
 	if path == "unsafe" {
 		return &loadedPackage{path: path, pkg: types.Unsafe}, nil
@@ -239,7 +235,7 @@ func (l *loader) load(path string) (*loadedPackage, error) {
 	}
 	info := (*types.Info)(nil)
 	if target {
-		info = l.info
+		info = newInfo()
 	}
 	conf := types.Config{
 		Importer:         l,
@@ -259,9 +255,24 @@ func (l *loader) load(path string) (*loadedPackage, error) {
 	if pkg == nil {
 		return nil, fmt.Errorf("gogen: typechecking %s: %v", path, err)
 	}
-	p := &loadedPackage{path: path, files: files, pkg: pkg, target: target}
+	p := &loadedPackage{path: path, pkg: pkg, target: target}
+	if target {
+		p.files, p.info = files, info
+	}
 	l.pkgs[path] = p
 	return p, nil
+}
+
+// newInfo returns an empty record for the type information the generator
+// reads.
+func newInfo() *types.Info {
+	return &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Implicits:  map[ast.Node]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 }
 
 // maxWarnings bounds the warning list on badly broken inputs.
@@ -285,18 +296,19 @@ func (l *loader) loadSource(src string) (*loadedPackage, error) {
 			}
 		},
 	}
-	pkg, err := conf.Check(path, l.fset, []*ast.File{f}, l.info)
+	info := newInfo()
+	pkg, err := conf.Check(path, l.fset, []*ast.File{f}, info)
 	if pkg == nil {
 		return nil, fmt.Errorf("gogen: typechecking: %v", err)
 	}
-	p := &loadedPackage{path: path, files: []*ast.File{f}, pkg: pkg, target: true}
+	p := &loadedPackage{path: path, files: []*ast.File{f}, info: info, pkg: pkg, target: true}
 	l.pkgs[path] = p
 	return p, nil
 }
 
 // Load parses and typechecks the requested packages and returns them in
-// deterministic (sorted import path) order together with the shared
-// FileSet and type information.
+// deterministic (sorted import path) order, each with its syntax and type
+// information.
 func (l *loader) loadTargets(o Options) ([]*loadedPackage, error) {
 	paths, err := l.targetPaths(o)
 	if err != nil {
