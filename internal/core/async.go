@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"antgrass/internal/bitmap"
 	"antgrass/internal/par"
@@ -122,9 +123,12 @@ type asyncOwnerState struct {
 	work *bitmap.Bitmap // scratch: set \ propagated of the current node
 	res  *bitmap.Bitmap // scratch: set \ resolved of the current node
 	hcd  *bitmap.Bitmap // scratch: set \ hcdResolved of the current node
+	reps *bitmap.Bitmap // scratch: distinct representatives of one offset's deref targets
 
 	succScratch []uint32
 	resScratch  []uint32
+	repScratch  []uint32
+	offScratch  []uint32
 
 	// fired dedups LCD candidate sends per (src, dst) pair — the owner-side
 	// mirror of the arbiter's global fired map; hcdPending dedups HCD
@@ -176,6 +180,7 @@ func newAsyncState(g *graph, owners int, lazy bool) *asyncState {
 		ow.work = bitmap.NewIn(ow.pool)
 		ow.res = bitmap.NewIn(ow.pool)
 		ow.hcd = bitmap.NewIn(ow.pool)
+		ow.reps = bitmap.NewIn(ow.pool)
 		ow.fired = make(map[uint64]bool)
 		ow.hcdPending = make(map[uint32]bool)
 	}
@@ -286,23 +291,64 @@ func (s *asyncState) Step(w int) bool {
 		}
 		rb, _ := pts.MutableBitmapIn(g.resolved[n], ow.pool)
 		rb.IorWith(ow.res)
-		ow.resScratch = ow.res.AppendTo(ow.resScratch[:0])
-		for _, ld := range g.loads[n] {
-			for _, pv := range ow.resScratch {
-				if t, okT := g.validTarget(pv, ld.Off); okT {
-					s.emitEdge(w, t, ld.Other)
-				}
-			}
-		}
-		for _, st := range g.stores[n] {
-			for _, pv := range ow.resScratch {
-				if t, okT := g.validTarget(pv, st.Off); okT {
-					s.emitEdge(w, st.Other, t)
-				}
+		s.resolve(w, n)
+	}
+	return true
+}
+
+// resolve realizes rep n's load and store constraints over the new
+// pointees in ow.res as copy edges (Figure 1, step 1). An edge joins the
+// representatives of its two ends, and collapsing leaves most pointees of
+// a dense set sharing one representative, so each offset's valid targets
+// v+off are first mapped to their distinct representatives and every
+// constraint at that offset then emits one edge per representative.
+// Pointees that share a target representative would all yield the same
+// edge: the union-find is frozen while owners run, so every FindRO here
+// holds for the whole step.
+func (s *asyncState) resolve(w int, n uint32) {
+	ow := &s.ow[w]
+	g := s.g
+	loads, stores := g.loads[n], g.stores[n]
+	// A node's constraints carry few distinct offsets; a linear scan
+	// finds them.
+	offs := ow.offScratch[:0]
+	for _, cs := range [2][]deref{loads, stores} {
+		for _, c := range cs {
+			if !slices.Contains(offs, c.Off) {
+				offs = append(offs, c.Off)
 			}
 		}
 	}
-	return true
+	ow.offScratch = offs
+	ow.resScratch = ow.res.AppendTo(ow.resScratch[:0])
+	for _, off := range offs {
+		ow.reps.ClearAll()
+		for _, v := range ow.resScratch {
+			if t, ok := g.validTarget(v, off); ok {
+				ow.reps.Set(g.nodes.FindRO(t))
+			}
+		}
+		targets := ow.reps.AppendTo(ow.repScratch[:0])
+		ow.repScratch = targets
+		for _, ld := range loads {
+			if ld.Off != off {
+				continue
+			}
+			dst := g.nodes.FindRO(ld.Other)
+			for _, t := range targets {
+				s.emitEdge(w, t, dst)
+			}
+		}
+		for _, st := range stores {
+			if st.Off != off {
+				continue
+			}
+			src := g.nodes.FindRO(st.Other)
+			for _, t := range targets {
+				s.emitEdge(w, src, t)
+			}
+		}
+	}
 }
 
 // Apply applies one received batch against owner w's state, re-resolving
@@ -416,17 +462,16 @@ func (s *asyncState) applyEdgeLocal(w int, rs, rd uint32) {
 	}
 }
 
-// emitEdge routes the semantic copy edge src → dst (any ids) to the owner
-// of the source's representative.
-func (s *asyncState) emitEdge(w int, src, dst uint32) {
-	rs, rd := s.g.nodes.FindRO(src), s.g.nodes.FindRO(dst)
+// emitEdge routes the copy edge rs → rd between representatives to the
+// owner of rs; a self-edge is dropped.
+func (s *asyncState) emitEdge(w int, rs, rd uint32) {
 	if rs == rd {
 		return
 	}
-	if s.owner(rs) == w {
+	if to := s.owner(rs); to == w {
 		s.applyEdgeLocal(w, rs, rd)
 	} else {
-		s.bufferEdge(w, s.owner(rs), rs, rd)
+		s.bufferEdge(w, to, rs, rd)
 	}
 }
 

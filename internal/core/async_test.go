@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"antgrass/internal/constraint"
+	"antgrass/internal/hcd"
 	"antgrass/internal/pts"
 )
 
@@ -196,6 +199,129 @@ func TestAsyncStats(t *testing.T) {
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("pts(v%d) differs between sequential and parallel", v)
+		}
+	}
+}
+
+// mergedPointeeProgram builds a program whose dereferenced node p points to
+// the members of a copy cycle, so that many of p's pointees share one
+// representative once the cycle collapses (HCD pre-unites it offline, LCD
+// finds it online). Members come in three spans: 1 and 3, for which the
+// target v+k of k = ParamOffset+1 is invalid, and 4, for which v+k is the
+// member's second parameter. Half of those parameter slots form a second
+// copy cycle, so at offset k some distinct pointees reach one target
+// representative and others reach distinct ones. Every id just past a
+// member's block holds a decoy object, which a load through an invalid
+// target would carry into its destination. p carries loads and stores at
+// offset 0 and k, plus a load at RetOffset, so one node resolves three
+// distinct offsets.
+func mergedPointeeProgram() (prog *constraint.Program, members []uint32) {
+	const k = constraint.ParamOffset + 1
+	prog = constraint.NewProgram()
+	var slots, decoys []uint32
+	for i := 0; i < 24; i++ {
+		var m uint32
+		switch i % 3 {
+		case 0:
+			m = prog.AddVar(fmt.Sprintf("m%d", i))
+		case 1:
+			m = prog.AddFunc(fmt.Sprintf("m%d", i), 1)
+		default:
+			m = prog.AddFunc(fmt.Sprintf("m%d", i), 2)
+			slots = append(slots, m+k)
+		}
+		members = append(members, m)
+		for j := 0; j < k; j++ {
+			decoys = append(decoys, prog.AddVar(fmt.Sprintf("decoy%d.%d", i, j)))
+		}
+	}
+	obj := func(name string) uint32 { return prog.AddVar(name) }
+	ptr, half, x0, y0, xk, yk, xr := obj("p"), obj("q"), obj("x0"), obj("y0"), obj("xk"), obj("yk"), obj("xr")
+	decoy, seed, a, b := obj("decoy"), obj("seed"), obj("a"), obj("b")
+	for i, m := range members {
+		prog.AddCopy(members[(i+1)%len(members)], m)
+		// p gains its pointees over two visits: half directly, half
+		// through q.
+		if i%2 == 0 {
+			prog.AddAddrOf(ptr, m)
+		} else {
+			prog.AddAddrOf(half, m)
+		}
+	}
+	prog.AddCopy(ptr, half)
+	prog.AddAddrOf(members[0], seed)
+	for i, sl := range slots {
+		prog.AddAddrOf(sl, obj(fmt.Sprintf("c%d", i)))
+		if h := len(slots) / 2; i < h {
+			prog.AddCopy(slots[(i+1)%h], sl)
+		}
+	}
+	for _, d := range decoys {
+		prog.AddAddrOf(d, decoy)
+	}
+	prog.AddAddrOf(y0, a)
+	prog.AddAddrOf(yk, b)
+	prog.AddLoad(x0, ptr, 0)
+	prog.AddStore(ptr, y0, 0)
+	prog.AddLoad(xk, ptr, k)
+	prog.AddStore(ptr, yk, k)
+	prog.AddLoad(xr, ptr, constraint.RetOffset)
+	return prog, members
+}
+
+// TestAsyncResolveMergedPointees pins the engine's load/store resolution
+// over distinct target representatives on the cases deduplication could
+// get wrong: many pointees of a dereferenced node merged into one
+// representative, offset targets that differ across the merged members,
+// and members whose v+k is invalid. Every owner count must reproduce the
+// sequential solution, and the sequential solution the reference.
+func TestAsyncResolveMergedPointees(t *testing.T) {
+	p, members := mergedPointeeProgram()
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// The premise: HCD pre-unites the member cycle before solving starts.
+	pre := map[uint32]bool{}
+	for _, pu := range hcd.Analyze(p).PreUnions {
+		pre[pu[0]], pre[pu[1]] = true, true
+	}
+	for _, m := range members {
+		if !pre[m] {
+			t.Fatalf("member v%d is not pre-united by HCD", m)
+		}
+	}
+	want := referenceSolve(p)
+	for _, alg := range []Algorithm{Naive, LCD} {
+		for _, withHCD := range []bool{false, true} {
+			seq, err := Solve(p, Options{Algorithm: alg, WithHCD: withHCD})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := uint32(0); v < uint32(p.NumVars); v++ {
+				got, exp := seq.PointsToSlice(v), sortedKeys(want[v])
+				if len(got) != 0 || len(exp) != 0 {
+					if !reflect.DeepEqual(got, exp) {
+						t.Fatalf("%v hcd=%v sequential: pts(%s) = %v, want %v",
+							alg, withHCD, p.NameOf(v), got, exp)
+					}
+				}
+			}
+			for _, wk := range []int{2, 3, 4} {
+				r, err := Solve(p, Options{Algorithm: alg, WithHCD: withHCD, Workers: wk})
+				if err != nil {
+					t.Fatalf("%v hcd=%v wk=%d: %v", alg, withHCD, wk, err)
+				}
+				for v := uint32(0); v < uint32(p.NumVars); v++ {
+					got, exp := r.PointsToSlice(v), seq.PointsToSlice(v)
+					if len(got) == 0 && len(exp) == 0 {
+						continue
+					}
+					if !reflect.DeepEqual(got, exp) {
+						t.Fatalf("%v hcd=%v wk=%d: pts(%s) = %v, want %v",
+							alg, withHCD, wk, p.NameOf(v), got, exp)
+					}
+				}
+			}
 		}
 	}
 }

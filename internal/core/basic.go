@@ -170,18 +170,21 @@ func solveBasic(ctx context.Context, g *graph, opts Options, lazy bool) error {
 // at the least fixpoint of the constraints represented in the graph.
 func (st *basicState) run(ctx context.Context, w worklist.Worklist) error {
 	g, opts, lazy, diff := st.g, st.opts, st.lazy, st.diff
+	done := ctx.Done() // nil for a context that is never canceled
 	for {
 		x, ok := w.Pop()
 		if !ok {
 			break
 		}
-		if st.pops++; st.pops%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return canceled(err, "worklist solving")
-			}
-			if st.pops%(ctxCheckInterval*16) == 0 {
+		select {
+		case <-done:
+			return canceled(ctx.Err(), "worklist solving")
+		default:
+		}
+		if st.pops++; st.pops%progressInterval == 0 {
+			if st.pops%(progressInterval*16) == 0 {
 				// ReadMemStats stops the world; sample at a coarser
-				// stride than the cancellation check.
+				// stride than the progress reports.
 				g.metrics.SampleMem()
 			}
 			if opts.Progress != nil {

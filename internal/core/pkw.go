@@ -53,18 +53,19 @@ func solvePKW(ctx context.Context, g *graph, opts Options) error {
 	}
 	var pops int
 	var derefScratch []uint32
+	done := ctx.Done() // nil for a context that is never canceled
 	for {
 		x, ok := w.Pop()
 		if !ok {
 			break
 		}
-		if pops++; pops%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return canceled(err, "PKW worklist solving")
-			}
-			if pops%(ctxCheckInterval*16) == 0 {
-				g.metrics.SampleMem()
-			}
+		select {
+		case <-done:
+			return canceled(ctx.Err(), "PKW worklist solving")
+		default:
+		}
+		if pops++; pops%(progressInterval*16) == 0 {
+			g.metrics.SampleMem()
 		}
 		cur := g.find(x)
 		if cur != x {

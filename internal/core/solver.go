@@ -436,9 +436,11 @@ func useParallel(opts Options) bool {
 	return opts.Workers >= 2 && (name == "bitmap" || name == "bitmap-plain")
 }
 
-// ctxCheckInterval is how many worklist pops a sequential solver processes
-// between cooperative cancellation checks and progress reports.
-const ctxCheckInterval = 4096
+// progressInterval is how many worklist pops a sequential solver processes
+// between progress reports. Cancellation is checked on every pop: one pop's
+// step 1 can take milliseconds on a dense set, so a stride of pops would
+// let a deadline overrun by seconds.
+const progressInterval = 4096
 
 // canceled wraps a context error with solve provenance.
 func canceled(err error, where string) error {

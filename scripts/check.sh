@@ -49,7 +49,9 @@
 #   8. a -race pass over the Session/Snapshot query-storm and oracle
 #      tests in the root package plus the serve handler tests — the
 #      lock-free concurrent-reader path of the daemon under the race
-#      detector;
+#      detector — and the mid-solve deadline test, which holds the
+#      sequential and parallel solvers to prompt cancellation even when
+#      the race detector slows every pop;
 #   9. an end-to-end serve stage: build antserve and antload into a
 #      temporary directory, boot the daemon on a dynamically chosen
 #      port (discovered via -addrfile), storm it with antload for a few
@@ -165,8 +167,8 @@ if want race; then
 	echo "==> GODEBUG=gccheckmark=1 go test -count=1 -run 'TestPool|TestPooled|TestCursor|TestCOW|TestRelease|TestDedup' ./internal/bitmap ./internal/pts"
 	GODEBUG=gccheckmark=1 go test -count=1 -run 'TestPool|TestPooled|TestCursor|TestCOW|TestRelease|TestDedup' ./internal/bitmap ./internal/pts
 
-	echo "==> go test -race -short -count=1 -run 'TestSession|TestServe|TestLoad' . ./internal/serve"
-	go test -race -short -count=1 -run 'TestSession|TestServe|TestLoad' . ./internal/serve
+	echo "==> go test -race -short -count=1 -run 'TestSession|TestServe|TestLoad|TestSolveContextDeadlineMidSolve' . ./internal/serve"
+	go test -race -short -count=1 -run 'TestSession|TestServe|TestLoad|TestSolveContextDeadlineMidSolve' . ./internal/serve
 fi
 
 if want serve; then
