@@ -6,7 +6,6 @@ import (
 
 	"antgrass/internal/memo"
 	"antgrass/internal/pts"
-	"antgrass/internal/scc"
 	"antgrass/internal/worklist"
 )
 
@@ -359,9 +358,7 @@ func (g *graph) detectAndCollapseMulti(roots []uint32, push func(uint32)) bool {
 		t0 := time.Now()
 		defer func() { g.cycleNS += time.Since(t0).Nanoseconds() }()
 	}
-	res := scc.Nuutila(g.n, roots, func(x uint32) []uint32 {
-		return g.succsSnapshot(x)
-	})
+	res := g.search.Search(g.n, roots, g.succsOf)
 	g.stats.NodesSearched += int64(res.Visited)
 	collapsed := false
 	for _, comp := range res.Comps {

@@ -9,6 +9,7 @@ import (
 	"antgrass/internal/memo"
 	"antgrass/internal/metrics"
 	"antgrass/internal/pts"
+	"antgrass/internal/scc"
 	"antgrass/internal/uf"
 )
 
@@ -103,6 +104,12 @@ type graph struct {
 	// parallel engine's owners insert edges through their own pools, see
 	// addEdgeIn).
 	edgePool *bitmap.Pool
+
+	// search is the cycle searches' Nuutila state (LCD, PKW, the PKH
+	// sweep and the parallel arbiter's pauses). It persists across
+	// searches and grows on its own to g.n, so a search costs the nodes
+	// it visits rather than the size of the graph.
+	search scc.Searcher
 
 	// scratch for succsOf / applyHCD
 	succScratch []uint32

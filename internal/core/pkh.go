@@ -4,8 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"time"
-
-	"antgrass/internal/scc"
 )
 
 // solvePKH implements the algorithm of Pearce, Kelly and Hankin [21]: the
@@ -53,9 +51,7 @@ func solvePKH(ctx context.Context, g *graph, opts Options) error {
 				roots = append(roots, v)
 			}
 		}
-		res := scc.Nuutila(g.n, roots, func(x uint32) []uint32 {
-			return g.succsSnapshot(x)
-		})
+		res := g.search.Search(g.n, roots, g.succsOf)
 		g.stats.NodesSearched += int64(res.Visited)
 		for _, comp := range res.Comps {
 			if len(comp) < 2 {

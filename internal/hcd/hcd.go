@@ -49,6 +49,7 @@
 package hcd
 
 import (
+	"math/bits"
 	"sort"
 	"time"
 
@@ -87,27 +88,40 @@ type Result struct {
 func Analyze(p *constraint.Program) *Result {
 	start := time.Now()
 	n := uint32(p.NumVars)
-	// Offline graph nodes: v in [0,n) is variable v; n+v is ref(v).
-	adj := make([][]uint32, 2*n)
-	addEdge := func(from, to uint32) {
-		adj[from] = append(adj[from], to)
-	}
-	for _, c := range p.Constraints {
+	// Offline graph nodes: v in [0,n) is variable v; n+v is ref(v). The
+	// graph is static, so its adjacency is laid out in two passes: count
+	// each node's out-degree, then fill, keeping constraint order.
+	edge := func(c constraint.Constraint) (from, to uint32, ok bool) {
 		switch c.Kind {
 		case constraint.Copy:
-			addEdge(c.Src, c.Dst)
+			return c.Src, c.Dst, true
 		case constraint.Load:
-			if c.Offset == 0 {
-				addEdge(n+c.Src, c.Dst)
-			}
+			return n + c.Src, c.Dst, c.Offset == 0
 		case constraint.Store:
-			if c.Offset == 0 {
-				addEdge(c.Src, n+c.Dst)
-			}
+			return c.Src, n + c.Dst, c.Offset == 0
+		}
+		return 0, 0, false
+	}
+	adj := &csr{off: make([]uint32, 2*n+1)}
+	for _, c := range p.Constraints {
+		if from, _, ok := edge(c); ok {
+			adj.off[from+1]++
+		}
+	}
+	for i := 1; i < len(adj.off); i++ {
+		adj.off[i] += adj.off[i-1]
+	}
+	adj.succ = make([]uint32, adj.off[2*n])
+	next := append([]uint32(nil), adj.off[:2*n]...)
+	for _, c := range p.Constraints {
+		if from, to, ok := edge(c); ok {
+			adj.succ[next[from]] = to
+			next[from]++
 		}
 	}
 	res := &Result{}
-	sccRes := scc.Tarjan(int(2*n), nil, func(x uint32) []uint32 { return adj[x] })
+	sccRes := scc.Tarjan(int(2*n), nil, adj.of)
+	lic := newLicenser(n, adj)
 	for _, comp := range sccRes.Comps {
 		if len(comp) < 2 {
 			continue
@@ -135,7 +149,7 @@ func Analyze(p *constraint.Program) *Result {
 			// anyway.
 			continue
 		}
-		res.pairsForSCC(n, adj, vars, refs)
+		res.Pairs = lic.pairs(res.Pairs, vars, refs)
 		// The non-ref members of a mixed SCC are NOT collapsed
 		// offline: their mutual cycle only materializes online if the
 		// ref's points-to set turns out non-empty, and collapsing
@@ -146,78 +160,172 @@ func Analyze(p *constraint.Program) *Result {
 	return res
 }
 
-// pairsForSCC emits the licensed tuples of one mixed SCC: for each ref
+// csr is a static adjacency: the successors of x are succ[off[x]:off[x+1]].
+type csr struct {
+	off  []uint32
+	succ []uint32
+}
+
+func (g *csr) of(x uint32) []uint32 { return g.succ[g.off[x]:g.off[x+1]] }
+
+// licenser computes the licensed tuples of mixed SCCs. Its scratch arrays
+// are reused from one SCC to the next, so the work per SCC is linear in the
+// SCC's size.
+type licenser struct {
+	n   uint32
+	adj *csr // the offline graph
+	// local maps a variable to its index in the current SCC's vars, and
+	// refPos maps a to the position of ref(a) in its refs; both are -1
+	// outside the current SCC.
+	local, refPos []int32
+
+	vg     csr      // the var→var edges inside the SCC, by local index
+	compOf []int32  // condensation component of each local var
+	minVar []uint32 // smallest variable id in each component
+	fwd    []uint64 // per component: refs whose load targets reach it
+	bwd    []uint64 // per component: refs whose store sources it reaches
+}
+
+func newLicenser(n uint32, adj *csr) *licenser {
+	l := &licenser{n: n, adj: adj, local: make([]int32, n), refPos: make([]int32, n)}
+	for i := range l.local {
+		l.local[i] = -1
+		l.refPos[i] = -1
+	}
+	return l
+}
+
+// pairs appends to out the licensed tuples of one mixed SCC: for each ref
 // member ref(a), the pair (a, b) where b is the smallest var member on a
 // cycle with ref(a) in the subgraph restricted to the SCC's var members
 // plus ref(a) itself (no other ref nodes). Refs with no such cycle emit
 // nothing — their cycles are conditional on another ref's points-to set.
-func (res *Result) pairsForSCC(n uint32, adj [][]uint32, vars, refs []uint32) {
-	// local index of the SCC's var members
-	idx := make(map[uint32]int, len(vars))
+//
+// b is on such a cycle exactly when it is reachable, through var members
+// only, from one of ref(a)'s load targets and reaches one of ref(a)'s
+// store sources. Instead of two walks per ref, the var-only subgraph is
+// condensed once with Tarjan's algorithm, and the refs travel 64 at a time
+// as bitmasks over the condensation: forward from each ref's load targets
+// in topological order, backward from its store sources in reverse
+// topological order. Within a component every member reaches every other,
+// so a ref's target is the smallest variable of any component that holds
+// its bit in both directions. The cost is O((V+E)·⌈refs/64⌉) for an SCC
+// with V var members and E edges among them.
+func (l *licenser) pairs(out []Pair, vars, refs []uint32) []Pair {
+	n, adj := l.n, l.adj
 	for i, v := range vars {
-		idx[v] = i
+		l.local[v] = int32(i)
 	}
-	// fwd/rev: var→var edges within the SCC, by local index.
-	fwd := make([][]int, len(vars))
-	rev := make([][]int, len(vars))
-	// refOut[a] / refIn[a]: SCC var members with an edge from / to
-	// ref(a), i.e. the SCC's loads of *a and stores into *a.
-	refOut := make(map[uint32][]int, len(refs))
-	refIn := make(map[uint32][]int, len(refs))
-	isRef := make(map[uint32]bool, len(refs))
-	for _, a := range refs {
-		isRef[a] = true
+	for k, a := range refs {
+		l.refPos[a] = int32(k)
 	}
-	for i, v := range vars {
-		for _, w := range adj[v] {
-			if w < n {
-				if j, ok := idx[w]; ok {
-					fwd[i] = append(fwd[i], j)
-					rev[j] = append(rev[j], i)
+	defer func() {
+		for _, v := range vars {
+			l.local[v] = -1
+		}
+		for _, a := range refs {
+			l.refPos[a] = -1
+		}
+	}()
+
+	vg := &l.vg
+	vg.off = append(vg.off[:0], 0)
+	vg.succ = vg.succ[:0]
+	for _, v := range vars {
+		for _, w := range adj.of(v) {
+			if w < n && l.local[w] >= 0 {
+				vg.succ = append(vg.succ, uint32(l.local[w]))
+			}
+		}
+		vg.off = append(vg.off, uint32(len(vg.succ)))
+	}
+	cond := scc.Tarjan(len(vars), nil, vg.of).Comps // reverse topological
+	nc := len(cond)
+	l.compOf = grown(l.compOf, len(vars))
+	l.minVar = grown(l.minVar, nc)
+	for c, members := range cond {
+		best := vars[members[0]]
+		for _, i := range members {
+			l.compOf[i] = int32(c)
+			best = min(best, vars[i])
+		}
+		l.minVar[c] = best
+	}
+	l.fwd = grown(l.fwd, nc)
+	l.bwd = grown(l.bwd, nc)
+
+	for base := 0; base < len(refs); base += 64 {
+		chunk := refs[base:min(base+64, len(refs))]
+		clear(l.fwd)
+		clear(l.bwd)
+		// Seeds: ref(a) → y for each load y ⊇ *a, and x → ref(a) for
+		// each store *a ⊇ x, restricted to the SCC's var members.
+		for k, a := range chunk {
+			for _, y := range adj.of(n + a) {
+				if i := l.local[y]; i >= 0 {
+					l.fwd[l.compOf[i]] |= 1 << k
 				}
-			} else if isRef[w-n] {
-				refIn[w-n] = append(refIn[w-n], i)
 			}
 		}
-	}
-	for _, a := range refs {
-		for _, w := range adj[n+a] {
-			if j, ok := idx[w]; ok {
-				refOut[a] = append(refOut[a], j)
-			}
-		}
-	}
-	reach := func(starts []int, edges [][]int) []bool {
-		seen := make([]bool, len(vars))
-		stack := append([]int(nil), starts...)
-		for _, s := range starts {
-			seen[s] = true
-		}
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, y := range edges[x] {
-				if !seen[y] {
-					seen[y] = true
-					stack = append(stack, y)
+		for i, x := range vars {
+			for _, w := range adj.of(x) {
+				if w < n {
+					continue
+				}
+				if k := int(l.refPos[w-n]) - base; k >= 0 && k < len(chunk) {
+					l.bwd[l.compOf[i]] |= 1 << k
 				}
 			}
 		}
-		return seen
-	}
-	for _, a := range refs {
-		// Vars reachable from ref(a), and vars reaching ref(a),
-		// through var members only.
-		from := reach(refOut[a], fwd)
-		to := reach(refIn[a], rev)
-		best, found := uint32(0), false
-		for i, v := range vars {
-			if from[i] && to[i] && (!found || v < best) {
-				best, found = v, true
+		// Forward in topological order: a component's mask is final
+		// once every predecessor, later in cond, has pushed into it.
+		for c := nc - 1; c >= 0; c-- {
+			m := l.fwd[c]
+			if m == 0 {
+				continue
+			}
+			for _, i := range cond[c] {
+				for _, j := range vg.of(i) {
+					l.fwd[l.compOf[j]] |= m
+				}
 			}
 		}
-		if found {
-			res.Pairs = append(res.Pairs, Pair{Deref: a, Target: best})
+		// Backward in reverse topological order: every successor,
+		// earlier in cond, is final before its predecessors read it.
+		for c := 0; c < nc; c++ {
+			m := l.bwd[c]
+			for _, i := range cond[c] {
+				for _, j := range vg.of(i) {
+					m |= l.bwd[l.compOf[j]]
+				}
+			}
+			l.bwd[c] = m
+		}
+		var best [64]uint32
+		var found uint64
+		for c := 0; c < nc; c++ {
+			for both := l.fwd[c] & l.bwd[c]; both != 0; both &= both - 1 {
+				k := bits.TrailingZeros64(both)
+				if found&(1<<k) == 0 || l.minVar[c] < best[k] {
+					best[k] = l.minVar[c]
+					found |= 1 << k
+				}
+			}
+		}
+		for k, a := range chunk {
+			if found&(1<<k) != 0 {
+				out = append(out, Pair{Deref: a, Target: best[k]})
+			}
 		}
 	}
+	return out
+}
+
+// grown returns s resized to length n, reusing its backing when it is
+// large enough. The contents are unspecified.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -1,9 +1,15 @@
 package hcd
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"antgrass/internal/constraint"
+	"antgrass/internal/scc"
+	"antgrass/internal/synth"
 )
 
 // TestPaperFigure3 reproduces the running example of §4.2:
@@ -250,5 +256,271 @@ func TestDurationRecorded(t *testing.T) {
 	r := Analyze(p)
 	if r.Duration < 0 {
 		t.Error("Duration must be non-negative")
+	}
+}
+
+// referenceAnalyze is the offline analysis as first written: the same
+// offline graph and SCC classification as Analyze, but each ref of a mixed
+// SCC licenses its pair with its own two reachability walks over the SCC's
+// var members (O(refs·(V+E)) per SCC). Analyze must agree with it exactly.
+func referenceAnalyze(p *constraint.Program) *Result {
+	n := uint32(p.NumVars)
+	adj := make([][]uint32, 2*n)
+	for _, c := range p.Constraints {
+		switch c.Kind {
+		case constraint.Copy:
+			adj[c.Src] = append(adj[c.Src], c.Dst)
+		case constraint.Load:
+			if c.Offset == 0 {
+				adj[n+c.Src] = append(adj[n+c.Src], c.Dst)
+			}
+		case constraint.Store:
+			if c.Offset == 0 {
+				adj[c.Src] = append(adj[c.Src], n+c.Dst)
+			}
+		}
+	}
+	res := &Result{}
+	sccRes := scc.Tarjan(int(2*n), nil, func(x uint32) []uint32 { return adj[x] })
+	for _, comp := range sccRes.Comps {
+		if len(comp) < 2 {
+			continue
+		}
+		res.SCCs++
+		var vars, refs []uint32
+		for _, m := range comp {
+			if m < n {
+				vars = append(vars, m)
+			} else {
+				refs = append(refs, m-n)
+			}
+		}
+		if len(refs) == 0 {
+			for i := 1; i < len(vars); i++ {
+				res.PreUnions = append(res.PreUnions, [2]uint32{vars[0], vars[i]})
+			}
+			continue
+		}
+		if len(vars) == 0 {
+			continue
+		}
+		res.Pairs = append(res.Pairs, referencePairs(n, adj, vars, refs)...)
+	}
+	sort.Slice(res.Pairs, func(i, j int) bool { return res.Pairs[i].Deref < res.Pairs[j].Deref })
+	return res
+}
+
+// referencePairs licenses one mixed SCC's tuples ref by ref: the vars
+// reachable from ref(a)'s load targets and the vars reaching its store
+// sources, both through the SCC's var members only, and the smallest var
+// in both.
+func referencePairs(n uint32, adj [][]uint32, vars, refs []uint32) []Pair {
+	idx := make(map[uint32]int, len(vars))
+	for i, v := range vars {
+		idx[v] = i
+	}
+	fwd := make([][]int, len(vars))
+	rev := make([][]int, len(vars))
+	refOut := make(map[uint32][]int, len(refs))
+	refIn := make(map[uint32][]int, len(refs))
+	isRef := make(map[uint32]bool, len(refs))
+	for _, a := range refs {
+		isRef[a] = true
+	}
+	for i, v := range vars {
+		for _, w := range adj[v] {
+			if w < n {
+				if j, ok := idx[w]; ok {
+					fwd[i] = append(fwd[i], j)
+					rev[j] = append(rev[j], i)
+				}
+			} else if isRef[w-n] {
+				refIn[w-n] = append(refIn[w-n], i)
+			}
+		}
+	}
+	for _, a := range refs {
+		for _, w := range adj[n+a] {
+			if j, ok := idx[w]; ok {
+				refOut[a] = append(refOut[a], j)
+			}
+		}
+	}
+	reach := func(starts []int, edges [][]int) []bool {
+		seen := make([]bool, len(vars))
+		stack := append([]int(nil), starts...)
+		for _, s := range starts {
+			seen[s] = true
+		}
+		for len(stack) > 0 {
+			x := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, y := range edges[x] {
+				if !seen[y] {
+					seen[y] = true
+					stack = append(stack, y)
+				}
+			}
+		}
+		return seen
+	}
+	var out []Pair
+	for _, a := range refs {
+		from := reach(refOut[a], fwd)
+		to := reach(refIn[a], rev)
+		best, found := uint32(0), false
+		for i, v := range vars {
+			if from[i] && to[i] && (!found || v < best) {
+				best, found = v, true
+			}
+		}
+		if found {
+			out = append(out, Pair{Deref: a, Target: best})
+		}
+	}
+	return out
+}
+
+// sameAnalysis reports how got differs from the reference result, or ""
+// when Pairs, PreUnions and SCCs all match.
+func sameAnalysis(got, want *Result) string {
+	switch {
+	case got.SCCs != want.SCCs:
+		return fmt.Sprintf("SCCs = %d, reference %d", got.SCCs, want.SCCs)
+	case !slices.Equal(got.Pairs, want.Pairs):
+		return fmt.Sprintf("Pairs = %v, reference %v", got.Pairs, want.Pairs)
+	case !slices.Equal(got.PreUnions, want.PreUnions):
+		return fmt.Sprintf("PreUnions = %v, reference %v", got.PreUnions, want.PreUnions)
+	}
+	return ""
+}
+
+// TestAnalyzeMatchesReferenceOnProfiles compares Analyze with the per-ref
+// reference on the six Table 2 profiles at four scales and six seeds each.
+// Their giant mixed SCCs carry dozens to hundreds of refs, so every
+// 64-ref chunk of the bitmask passes is exercised.
+func TestAnalyzeMatchesReferenceOnProfiles(t *testing.T) {
+	scales := []float64{0.02, 0.1, 0.3, 0.5}
+	if testing.Short() {
+		scales = scales[:2]
+	}
+	for _, prof := range synth.PaperProfiles {
+		for _, scale := range scales {
+			for seed := int64(0); seed < 6; seed++ {
+				q := prof.Scale(scale)
+				q.Seed = prof.Seed + 1000*seed
+				p := synth.Generate(q)
+				if d := sameAnalysis(Analyze(p), referenceAnalyze(p)); d != "" {
+					t.Errorf("%s@%g seed %d: %s", prof.Name, scale, q.Seed, d)
+				}
+			}
+		}
+	}
+}
+
+// TestAnalyzeMatchesReferenceOnRandomPrograms compares Analyze with the
+// per-ref reference on the property-testing generator's small programs.
+func TestAnalyzeMatchesReferenceOnRandomPrograms(t *testing.T) {
+	seeds := int64(20000)
+	if testing.Short() {
+		seeds = 2000
+	}
+	for seed := int64(0); seed < seeds; seed++ {
+		p := synth.RandomProgram(rand.New(rand.NewSource(seed)))
+		if d := sameAnalysis(Analyze(p), referenceAnalyze(p)); d != "" {
+			t.Fatalf("seed %d: %s", seed, d)
+		}
+	}
+}
+
+// TestAnalyzeOneSCCWith130Refs builds a single mixed SCC whose 130 refs
+// span three 64-ref chunks. A ring ties them together: ref(r_j) → e_j →
+// ref(r_{j+1}), where the exit e_j is a var. Most refs also have a private
+// var cycle ref(r_j) → x_j → y_j → ref(r_j), with e_j = y_j, and license the
+// smaller of x_j and y_j; every seventh of those routes x_j → s → y_j
+// through one shared var s, the smallest id, and licenses s. Every fifth
+// ref has only the ring (ref(r_j) → p_j = e_j), so each of its cycles
+// passes through another ref and it licenses nothing. Each ref also loads
+// into a decoy d_j that stores into every other ref: d_j is reachable from
+// ref(r_j) and reaches every other ref, but not ref(r_j) itself, so
+// mixing one ref's bit into another's would license d_j.
+func TestAnalyzeOneSCCWith130Refs(t *testing.T) {
+	const nrefs = 130
+	p := constraint.NewProgram()
+	s := p.AddVar("s")
+	r := make([]uint32, nrefs)
+	for j := range r {
+		r[j] = p.AddVar(fmt.Sprintf("r%d", j))
+	}
+	exit := make([]uint32, nrefs)
+	want := map[uint32]uint32{}
+	decoy := make([]uint32, nrefs)
+	for j := range r {
+		decoy[j] = p.AddVar(fmt.Sprintf("d%d", j))
+		p.AddLoad(decoy[j], r[j], 0) // ref(r_j) → d_j
+		if j%5 == 3 {
+			pj := p.AddVar(fmt.Sprintf("p%d", j))
+			p.AddLoad(pj, r[j], 0) // ref(r_j) → p_j
+			exit[j] = pj
+			continue
+		}
+		x := p.AddVar(fmt.Sprintf("x%d", j))
+		y := p.AddVar(fmt.Sprintf("y%d", j))
+		p.AddLoad(x, r[j], 0)  // ref(r_j) → x_j
+		p.AddStore(r[j], y, 0) // y_j → ref(r_j)
+		if j%7 == 0 {
+			p.AddCopy(s, x) // x_j → s
+			p.AddCopy(y, s) // s → y_j
+			want[r[j]] = s
+		} else {
+			p.AddCopy(y, x) // x_j → y_j
+			want[r[j]] = min(x, y)
+		}
+		exit[j] = y
+	}
+	for j := range r {
+		p.AddStore(r[(j+1)%nrefs], exit[j], 0) // e_j → ref(r_{j+1})
+		for i := range r {
+			if i != j {
+				p.AddStore(r[i], decoy[j], 0) // d_j → ref(r_i)
+			}
+		}
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	got := Analyze(p)
+	if d := sameAnalysis(got, referenceAnalyze(p)); d != "" {
+		t.Fatal(d)
+	}
+	if got.SCCs != 1 {
+		t.Fatalf("SCCs = %d, want one mixed SCC holding all %d refs", got.SCCs, nrefs)
+	}
+	if len(got.Pairs) != len(want) {
+		t.Errorf("%d pairs, want %d", len(got.Pairs), len(want))
+	}
+	for _, pr := range got.Pairs {
+		if w, ok := want[pr.Deref]; !ok || pr.Target != w {
+			t.Errorf("pair %v: want target %d (licensed %v)", pr, w, ok)
+		}
+	}
+}
+
+// analyzeSink keeps BenchmarkAnalyze's results live.
+var analyzeSink *Result
+
+// BenchmarkAnalyze runs the offline analysis over the six Table 2 profiles
+// at scale 0.2, generated once outside the timer.
+func BenchmarkAnalyze(b *testing.B) {
+	progs := make([]*constraint.Program, len(synth.PaperProfiles))
+	for i, prof := range synth.PaperProfiles {
+		progs[i] = synth.Generate(prof.Scale(0.2))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range progs {
+			analyzeSink = Analyze(p)
+		}
 	}
 }

@@ -10,12 +10,16 @@
 // Both entry points visit only nodes reachable from the given roots, which
 // is what Lazy Cycle Detection needs (a search rooted at the target of a
 // propagation edge), and both report the number of nodes visited, which is
-// the "nodes searched" statistic of §5.3.
+// the "nodes searched" statistic of §5.3. A Searcher runs the Nuutila
+// variant repeatedly over one growing graph and keeps its state between
+// searches, so that each search costs what it visits: the online solvers'
+// cycle checks each visit a handful of nodes of a graph with many thousands.
 package scc
 
-// Succs returns the successors of node x. The returned slice is owned by the
-// callee's caller: the algorithms retain it only while x's frame is live and
-// never modify it.
+// Succs returns the successors of node x. The algorithms never modify the
+// returned slice. Tarjan retains it while x's frame is live; a Searcher
+// copies it before it calls Succs again, so Succs may return the same
+// buffer every time.
 type Succs func(x uint32) []uint32
 
 // Result holds the outcome of an SCC computation.
@@ -47,6 +51,8 @@ type tarjanState struct {
 	onstack []bool
 	stack   []uint32
 	frames  []frame
+	members []uint32 // visited nodes, grouped by component
+	ends    []int    // end offset in members of each component
 	nextIdx uint32
 	res     *Result
 }
@@ -80,6 +86,13 @@ func Tarjan(n int, roots []uint32, succs Succs) *Result {
 			}
 		}
 	}
+	// One backing array for all components instead of one per component.
+	s.res.Comps = make([][]uint32, len(s.ends))
+	lo := 0
+	for i, hi := range s.ends {
+		s.res.Comps[i] = s.members[lo:hi:hi]
+		lo = hi
+	}
 	return s.res
 }
 
@@ -110,17 +123,16 @@ func (s *tarjanState) visit(root uint32) {
 		// All successors of f.v processed.
 		v := f.v
 		if s.lowlink[v] == s.index[v] {
-			var comp []uint32
 			for {
 				w := s.stack[len(s.stack)-1]
 				s.stack = s.stack[:len(s.stack)-1]
 				s.onstack[w] = false
-				comp = append(comp, w)
+				s.members = append(s.members, w)
 				if w == v {
 					break
 				}
 			}
-			s.res.Comps = append(s.res.Comps, comp)
+			s.ends = append(s.ends, len(s.members))
 		}
 		s.frames = s.frames[:len(s.frames)-1]
 		if len(s.frames) > 0 {
@@ -132,63 +144,119 @@ func (s *tarjanState) visit(root uint32) {
 	}
 }
 
-type nuutilaState struct {
-	succs       Succs
-	index       []uint32 // 1-based discovery index; 0 = unvisited
-	root        []uint32 // candidate root (by node id), valid once visited
-	inComponent []bool
-	stack       []uint32 // only potential non-root members are stacked
-	frames      []frame
-	nextIdx     uint32
-	res         *Result
+// Searcher runs Nuutila and Soisalon-Soininen's variant of Tarjan's
+// algorithm and keeps its search state between calls, so a search costs
+// what it visits rather than the size of the graph. The per-node arrays
+// grow lazily to the largest n a caller passes and are reset, after each
+// search, only at the nodes that search visited; successor lists are
+// copied into a frame-stack arena, so a Succs that reuses one buffer per
+// call is safe. The zero value is ready to use. A Searcher is not safe for
+// concurrent use.
+type Searcher struct {
+	index  []uint32 // 1-based discovery index; 0 = unvisited
+	root   []uint32 // candidate root (by node id), valid once visited
+	inComp []bool
+
+	stack  []uint32 // only potential non-root members are stacked
+	frames []searchFrame
+	arena  []uint32 // successor lists of the frames, in frame order
+
+	members []uint32 // visited nodes, grouped by component
+	ends    []uint32 // end offset in members of each component
+	nextIdx uint32
+	res     Result
+}
+
+// searchFrame is one DFS frame; its successors are arena[next:end].
+type searchFrame struct {
+	v, next, end uint32
 }
 
 // Nuutila computes the SCCs reachable from roots using Nuutila and
 // Soisalon-Soininen's variant of Tarjan's algorithm, which keeps only
 // candidate component members on the explicit stack. If roots is nil, all
-// nodes are used as roots.
+// nodes are used as roots. It is a one-shot Searcher: callers that search
+// the same graph repeatedly should keep a Searcher instead.
 func Nuutila(n int, roots []uint32, succs Succs) *Result {
-	s := &nuutilaState{
-		succs:       succs,
-		index:       make([]uint32, n),
-		root:        make([]uint32, n),
-		inComponent: make([]bool, n),
-		res:         &Result{},
-	}
+	var s Searcher
+	return s.Search(n, roots, succs)
+}
+
+// Search computes the SCCs reachable from roots in a graph with nodes
+// 0..n-1, exactly as Nuutila does. If roots is nil, all nodes are used as
+// roots. The Result and its components belong to the Searcher and are
+// valid until the next Search.
+func (s *Searcher) Search(n int, roots []uint32, succs Succs) *Result {
+	s.prepare(n)
 	if roots == nil {
 		for v := 0; v < n; v++ {
 			if s.index[v] == unvisited {
-				s.visit(uint32(v))
+				s.visit(uint32(v), succs)
 			}
 		}
 	} else {
 		for _, v := range roots {
 			if s.index[v] == unvisited {
-				s.visit(v)
+				s.visit(v, succs)
 			}
 		}
 	}
-	return s.res
+	// Every visited node ended up in exactly one component, so the
+	// component members are the reset list.
+	s.res.Comps = s.res.Comps[:0]
+	lo := uint32(0)
+	for _, hi := range s.ends {
+		s.res.Comps = append(s.res.Comps, s.members[lo:hi:hi])
+		lo = hi
+	}
+	for _, v := range s.members {
+		s.index[v] = unvisited
+		s.inComp[v] = false
+	}
+	// Every buffer but the arena is bounded by the node count. A search
+	// down a path of dense nodes can copy far more successors than the
+	// graph has nodes, so an arena larger than that is not kept.
+	if cap(s.arena) > len(s.index) {
+		s.arena = nil
+	}
+	return &s.res
 }
 
-func (s *nuutilaState) push(v uint32) {
+// prepare sizes the per-node arrays for n nodes and clears the previous
+// search's buffers.
+func (s *Searcher) prepare(n int) {
+	if n > len(s.index) {
+		grow := n - len(s.index)
+		s.index = append(s.index, make([]uint32, grow)...)
+		s.root = append(s.root, make([]uint32, grow)...)
+		s.inComp = append(s.inComp, make([]bool, grow)...)
+	}
+	s.members = s.members[:0]
+	s.ends = s.ends[:0]
+	s.nextIdx = 0
+	s.res.Visited = 0
+}
+
+func (s *Searcher) push(v uint32, succs Succs) {
 	s.nextIdx++
 	s.index[v] = s.nextIdx
 	s.root[v] = v
-	s.frames = append(s.frames, frame{v: v, out: s.succs(v)})
+	start := uint32(len(s.arena))
+	s.arena = append(s.arena, succs(v)...)
+	s.frames = append(s.frames, searchFrame{v: v, next: start, end: uint32(len(s.arena))})
 	s.res.Visited++
 }
 
-func (s *nuutilaState) visit(start uint32) {
-	s.push(start)
+func (s *Searcher) visit(start uint32, succs Succs) {
+	s.push(start, succs)
 	for len(s.frames) > 0 {
 		f := &s.frames[len(s.frames)-1]
-		if f.next < len(f.out) {
-			w := f.out[f.next]
+		if f.next < f.end {
+			w := s.arena[f.next]
 			f.next++
 			if s.index[w] == unvisited {
-				s.push(w)
-			} else if !s.inComponent[w] {
+				s.push(w, succs)
+			} else if !s.inComp[w] {
 				if s.index[s.root[w]] < s.index[s.root[f.v]] {
 					s.root[f.v] = s.root[w]
 				}
@@ -197,22 +265,29 @@ func (s *nuutilaState) visit(start uint32) {
 		}
 		v := f.v
 		s.frames = s.frames[:len(s.frames)-1]
+		// The frame's successors were appended when it went on top, so
+		// they start where its parent's end.
+		if len(s.frames) > 0 {
+			s.arena = s.arena[:s.frames[len(s.frames)-1].end]
+		} else {
+			s.arena = s.arena[:0]
+		}
 		if s.root[v] == v {
-			s.inComponent[v] = true
-			comp := []uint32{v}
+			s.inComp[v] = true
+			s.members = append(s.members, v)
 			for len(s.stack) > 0 && s.index[s.stack[len(s.stack)-1]] > s.index[v] {
 				w := s.stack[len(s.stack)-1]
 				s.stack = s.stack[:len(s.stack)-1]
-				s.inComponent[w] = true
-				comp = append(comp, w)
+				s.inComp[w] = true
+				s.members = append(s.members, w)
 			}
-			s.res.Comps = append(s.res.Comps, comp)
+			s.ends = append(s.ends, uint32(len(s.members)))
 		} else {
 			s.stack = append(s.stack, v)
 		}
 		if len(s.frames) > 0 {
 			p := &s.frames[len(s.frames)-1]
-			if !s.inComponent[v] && s.index[s.root[v]] < s.index[s.root[p.v]] {
+			if !s.inComp[v] && s.index[s.root[v]] < s.index[s.root[p.v]] {
 				s.root[p.v] = s.root[v]
 			}
 		}

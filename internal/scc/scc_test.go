@@ -3,6 +3,7 @@ package scc
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -219,6 +220,163 @@ func TestTopoOrderHelper(t *testing.T) {
 	}
 	if !(pos[0] < pos[1] && pos[1] < pos[2]) {
 		t.Errorf("TopoOrder = %v, want 0 before 1 before 2", order)
+	}
+}
+
+// TestSearcherReuseMatchesTarjan keeps one Searcher across thousands of
+// random graphs whose node count grows from one search to the next (as the
+// online solvers' graphs do) and now and then starts over smaller, rooted
+// at random subsets or at every node.
+// Every result must equal a fresh Tarjan run: the same components as sets
+// and the same visited count. Stale state from an earlier, larger search
+// would show up as skipped or merged nodes.
+func TestSearcherReuseMatchesTarjan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var s Searcher
+	n := 1
+	for iter := 0; iter < 3000; iter++ {
+		if rng.Intn(3) == 0 {
+			n += rng.Intn(8)
+		}
+		if n > 400 {
+			n = 1 + rng.Intn(40) // smaller graphs reuse larger arrays
+		}
+		edges := randomGraph(rng, n, rng.Intn(3*n+1))
+		var roots []uint32
+		if rng.Intn(4) != 0 {
+			roots = make([]uint32, 1+rng.Intn(4))
+			for i := range roots {
+				roots[i] = uint32(rng.Intn(n))
+			}
+		}
+		succs := adjacency(n, edges)
+		got := s.Search(n, roots, succs)
+		want := Tarjan(n, roots, succs)
+		if got.Visited != want.Visited {
+			t.Fatalf("iter %d (n=%d roots=%v): visited %d, Tarjan %d", iter, n, roots, got.Visited, want.Visited)
+		}
+		if g, w := canonical(got.Comps), canonical(want.Comps); !reflect.DeepEqual(g, w) {
+			t.Fatalf("iter %d (n=%d roots=%v): comps %v, Tarjan %v", iter, n, roots, g, w)
+		}
+	}
+}
+
+// TestSearcherReusesOneBuffer: a Succs that returns the same buffer on
+// every call is safe, because the Searcher copies each list into its own
+// frame arena before the next call.
+func TestSearcherReusesOneBuffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var s Searcher
+	for iter := 0; iter < 300; iter++ {
+		n := 1 + rng.Intn(60)
+		edges := randomGraph(rng, n, rng.Intn(3*n+1))
+		adj := adjacency(n, edges)
+		var buf []uint32
+		shared := func(x uint32) []uint32 {
+			buf = append(buf[:0], adj(x)...)
+			return buf
+		}
+		got := canonical(s.Search(n, nil, shared).Comps)
+		if want := canonical(Tarjan(n, nil, adj).Comps); !reflect.DeepEqual(got, want) {
+			t.Fatalf("iter %d: comps %v, want %v", iter, got, want)
+		}
+	}
+}
+
+// TestSearcherKeepsStateBoundedByNodes: a DFS down a complete graph copies
+// about n² successors into the frame arena; the Searcher must not keep an
+// arena larger than the node count once the search is done, and must
+// still search correctly afterwards.
+func TestSearcherKeepsStateBoundedByNodes(t *testing.T) {
+	const n = 64
+	var edges [][2]uint32
+	for u := uint32(0); u < n; u++ {
+		for v := uint32(0); v < n; v++ {
+			if u != v {
+				edges = append(edges, [2]uint32{u, v})
+			}
+		}
+	}
+	succs := adjacency(n, edges)
+	var s Searcher
+	for i := 0; i < 2; i++ {
+		r := s.Search(n, []uint32{0}, succs)
+		if len(r.Comps) != 1 || len(r.Comps[0]) != n || r.Visited != n {
+			t.Fatalf("search %d: %d comps, visited %d; want one component of %d", i, len(r.Comps), r.Visited, n)
+		}
+		if cap(s.arena) > n {
+			t.Fatalf("search %d: kept an arena of %d successors for %d nodes", i, cap(s.arena), n)
+		}
+	}
+}
+
+// chainsGraph is a large sparse graph of disjoint chains of length k whose
+// last node closes a cycle back to the chain's first node.
+func chainsGraph(n, k int) Succs {
+	adj := make([][]uint32, n)
+	for v := 0; v < n; v++ {
+		next := v + 1
+		if next%k == 0 || next == n {
+			next = v - v%k
+		}
+		adj[v] = []uint32{uint32(next)}
+	}
+	return func(x uint32) []uint32 { return adj[x] }
+}
+
+// TestSearcherWarmSearchAllocatesNothing: once warm, a small search on a
+// large graph allocates nothing — it neither zeroes nor grows an O(n)
+// array.
+func TestSearcherWarmSearchAllocatesNothing(t *testing.T) {
+	const n = 200000
+	succs := chainsGraph(n, 4)
+	var s Searcher
+	roots := []uint32{n / 2}
+	s.Search(n, roots, succs)
+	allocs := testing.AllocsPerRun(100, func() {
+		if r := s.Search(n, roots, succs); r.Visited != 4 {
+			t.Fatalf("visited = %d, want 4", r.Visited)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm 4-node search allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// BenchmarkSearch runs small searches (8-node cycles) on a sparse graph of
+// 200k nodes, the shape of the online solvers' cycle checks, once with a
+// reused Searcher and once with a one-shot Nuutila per search. It reports
+// the time and the bytes allocated per visited node.
+func BenchmarkSearch(b *testing.B) {
+	const n = 200000
+	succs := chainsGraph(n, 8)
+	roots := make([][]uint32, 1024)
+	rng := rand.New(rand.NewSource(1))
+	for i := range roots {
+		roots[i] = []uint32{uint32(rng.Intn(n))}
+	}
+	var s Searcher
+	for _, bc := range []struct {
+		name   string
+		search func(roots []uint32) *Result
+	}{
+		{"reused", func(roots []uint32) *Result { return s.Search(n, roots, succs) }},
+		{"oneshot", func(roots []uint32) *Result { return Nuutila(n, roots, succs) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			bc.search(roots[0])
+			var visited int
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				visited += bc.search(roots[i%len(roots)]).Visited
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(visited), "ns/node")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(visited), "B/node")
+		})
 	}
 }
 

@@ -7,7 +7,9 @@
 # matrix jobs by naming one stage group:
 #
 #   static     — stages 1-3 (gofmt, vet, build)
-#   test       — stages 4-5 (full test suite, corpus replay by name)
+#   test       — stages 4-5 (full test suite, corpus replay by name,
+#                one pass of the offline-HCD and cycle-search
+#                microbenchmarks)
 #   race       — stages 6-8 (race-detector passes, fuzz-seed replays,
 #                antsolve -workers 4 end-to-end vs sequential, gccheckmark
 #                smoke)
@@ -27,7 +29,9 @@
 #   5. an explicit replay of the differential-testing seed corpus
 #      (internal/oracle/testdata/corpus/) against the full solver
 #      configuration matrix — already part of stage 4, but run by name
-#      so a corpus regression is called out unmistakably in CI logs;
+#      so a corpus regression is called out unmistakably in CI logs —
+#      then one iteration of the hcd.Analyze and scc.Searcher
+#      microbenchmarks, so they keep building and running;
 #   6. a race-detector pass over the concurrency-bearing packages
 #      (internal/par, internal/core, internal/worklist, internal/metrics)
 #      in -short mode, so the parallel engine's owner goroutines and
@@ -123,6 +127,9 @@ if want test; then
 
 	echo "==> go test -run 'TestCorpus|TestHCDRegressionSeed' -count=1 ./internal/oracle ./internal/hcd ./internal/core"
 	go test -run 'TestCorpus|TestHCDRegressionSeed' -count=1 ./internal/oracle ./internal/hcd ./internal/core
+
+	echo "==> go test -run '^\$' -bench 'BenchmarkAnalyze|BenchmarkSearch' -benchtime 1x ./internal/hcd ./internal/scc"
+	go test -run '^$' -bench 'BenchmarkAnalyze|BenchmarkSearch' -benchtime 1x ./internal/hcd ./internal/scc
 fi
 
 if want race; then
