@@ -187,13 +187,15 @@ type ProgressEvent = core.ProgressEvent
 type Result struct {
 	snap *Snapshot
 	// OVSStats describes the pre-processing step when Options.OVS was
-	// set (nil otherwise).
+	// set (nil otherwise). It carries counts and durations only: its
+	// Reduced program and PreUnions are nil once the solve has used them.
 	OVSStats *ovs.Result
 	// HVNStats describes the HVN value-numbering pass when Options.HVN
-	// was set (nil otherwise).
+	// was set (nil otherwise), with counts and durations only, as
+	// OVSStats.
 	HVNStats *hvn.Result
 	// HUStats describes the HU value-numbering pass when Options.HU was
-	// set (nil otherwise).
+	// set (nil otherwise), with counts and durations only, as OVSStats.
 	HUStats *hvn.Result
 }
 
@@ -229,7 +231,9 @@ func (r *Result) Rep(v VarID) VarID { return r.snap.Rep(v) }
 // under ctx and returns the solution frozen as an immutable snapshot. p
 // itself is never modified. It is the one-shot form of NewSession — a
 // session is created, solved, and closed — for callers that don't need
-// incremental updates.
+// incremental updates. The Result holds the solution and nothing of the
+// solver: its sets are copied out of the solver's element pools (see
+// Snapshot).
 //
 // Cancellation is cooperative: the solvers check ctx every few thousand
 // worklist pops (the parallel owners and the sequential worklist
@@ -240,7 +244,7 @@ func (r *Result) Rep(v VarID) VarID { return r.snap.Rep(v) }
 func Solve(ctx context.Context, p *Program, o Options) (*Result, error) {
 	// The one-shot session skips NewSession's defensive clone: no Update
 	// can ever mutate it.
-	s, err := newSession(ctx, p, o)
+	s, err := newSession(ctx, p, o, true)
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +253,9 @@ func Solve(ctx context.Context, p *Program, o Options) (*Result, error) {
 }
 
 // offlineStats collects the per-pass results of the offline constraint
-// pipeline (HVN → HU → OVS; nil for passes that did not run).
+// pipeline (HVN → HU → OVS; nil for passes that did not run). solveOnce
+// drops each result's Reduced program and PreUnions as soon as the next
+// stage has taken them, so the results keep counts and durations only.
 type offlineStats struct {
 	hvn *hvn.Result
 	hu  *hvn.Result
@@ -282,6 +288,7 @@ func solveOnce(ctx context.Context, p *Program, o Options) (*core.Result, offlin
 		off.hvn = red
 		prog = red.Reduced
 		preUnions = append(preUnions, red.PreUnions...)
+		red.Reduced, red.PreUnions = nil, nil
 	}
 	if o.HU {
 		red := hvn.Reduce(prog, true)
@@ -291,6 +298,7 @@ func solveOnce(ctx context.Context, p *Program, o Options) (*core.Result, offlin
 		off.hu = red
 		prog = red.Reduced
 		preUnions = append(preUnions, red.PreUnions...)
+		red.Reduced, red.PreUnions = nil, nil
 	}
 	if o.OVS {
 		red := ovs.Reduce(prog)
@@ -298,6 +306,7 @@ func solveOnce(ctx context.Context, p *Program, o Options) (*core.Result, offlin
 		off.ovs = red
 		prog = red.Reduced
 		preUnions = append(preUnions, red.PreUnions...)
+		red.Reduced, red.PreUnions = nil, nil
 	}
 	copts := core.Options{
 		BDDPoolNodes: o.BDDPoolNodes,

@@ -128,6 +128,35 @@ func BenchmarkSolveParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkPublish measures publishing a solved program as a Snapshot,
+// LCD+HCD at scale 0.2, in the two ways a Snapshot holds its sets: frozen
+// (copied out of the solver's pools into one slab, as Solve and
+// non-resumable sessions publish) and shared (copy-on-write shares of the
+// solver's backings, as a resumable session publishes).
+func BenchmarkPublish(b *testing.B) {
+	for _, name := range []string{"wine", "linux"} {
+		p, err := Workload(name, solveScale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, _, err := solveOnce(context.Background(), p, Options{Algorithm: LCD, HCD: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, mode := range []struct {
+			name   string
+			freeze bool
+		}{{"frozen", true}, {"shared", false}} {
+			b.Run(name+"/"+mode.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					newSnapshot(1, res, mode.freeze)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkTable2Workloads measures workload generation plus OVS reduction
 // for each Table 2 profile and reports the reduction percentage the paper
 // quotes (60-77%).

@@ -110,3 +110,43 @@ func (p *Pool) FreeLen() int {
 func (p *Pool) MemBytes() int {
 	return p.FreeLen() * ElemBytes
 }
+
+// Slab is an exactly sized block of elements for bitmap copies that must
+// outlive the pools their sources draw from, such as a published solution
+// whose solver is about to be dropped. A copy-on-write share of a pooled
+// backing holds far more than its own elements: each element pins its
+// whole chunk, and the chunk's free elements link through the pool's free
+// list into further chunks. Copies carved from one slab hold only the
+// slab, and all of them together cost one heap allocation.
+//
+// A bitmap copied into a slab has no pool. A later write allocates from
+// the heap, and the elements it frees are left to the garbage collector.
+type Slab struct {
+	elems []element
+}
+
+// NewSlab returns a slab with room for n elements.
+func NewSlab(n int) Slab { return Slab{elems: make([]element, n)} }
+
+// CopyTo sets dst to a copy of src carved from the slab, dropping dst's
+// previous elements without recycling them. It panics when the slab has
+// fewer unused elements than src holds.
+func (s *Slab) CopyTo(dst, src *Bitmap) {
+	es := s.elems[:src.n:src.n]
+	s.elems = s.elems[src.n:]
+	*dst = Bitmap{n: src.n}
+	var tail *element
+	for e := src.first; e != nil; e = e.next {
+		ne := &es[0]
+		es = es[1:]
+		ne.idx, ne.bits, ne.prev = e.idx, e.bits, tail
+		if tail != nil {
+			tail.next = ne
+		} else {
+			dst.first = ne
+		}
+		tail = ne
+	}
+	dst.last = tail
+	dst.current = dst.first
+}

@@ -2,6 +2,7 @@ package bitmap
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -381,4 +382,57 @@ func BenchmarkTestRO(b *testing.B) {
 			x = (x + 5) & (1<<16 - 1)
 		}
 	})
+}
+
+func TestSlabCopiesOutOfThePool(t *testing.T) {
+	pool := NewPool()
+	srcs := make([]*Bitmap, 5)
+	total := 0
+	for i := range srcs {
+		srcs[i] = NewIn(pool)
+		for k := 0; k < i*9; k++ {
+			srcs[i].Set(uint32(k*k*13 + i))
+		}
+		total += srcs[i].Elements()
+	}
+	slab := NewSlab(total)
+	dsts := make([]Bitmap, len(srcs))
+	for i, src := range srcs {
+		slab.CopyTo(&dsts[i], src)
+	}
+	if len(slab.elems) != 0 {
+		t.Fatalf("%d slab elements left over from an exactly sized slab", len(slab.elems))
+	}
+	want := make([][]uint32, len(srcs))
+	for i, src := range srcs {
+		if !dsts[i].Equal(src) || dsts[i].pool != nil {
+			t.Fatalf("copy %d: %v (pool %p), source %v", i, &dsts[i], dsts[i].pool, src)
+		}
+		want[i] = src.Slice()
+		src.ClearAll()
+	}
+	// The sources' elements are back in the pool; reusing them must not
+	// reach the copies, and writing the copies must not reach the pool.
+	for i := range srcs {
+		for k := 0; k < 50; k++ {
+			srcs[i].Set(uint32(k * 7))
+		}
+	}
+	stats := pool.Stats()
+	for i := range dsts {
+		if !reflect.DeepEqual(dsts[i].Slice(), want[i]) {
+			t.Fatalf("copy %d changed to %v, want %v", i, dsts[i].Slice(), want[i])
+		}
+		dsts[i].Set(1 << 20)
+		dsts[i].ClearAll()
+	}
+	if pool.Stats() != stats {
+		t.Fatal("writing a slab copy reached the source pool")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("copying into a full slab did not panic")
+		}
+	}()
+	slab.CopyTo(&dsts[0], srcs[1])
 }

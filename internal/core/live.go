@@ -130,14 +130,16 @@ func (l *Live) Stats() Stats { return *l.g.stats }
 // Result assembles the current solution. The Result ALIASES the live
 // solver state (union-find and set handles): it is valid only until the
 // next Add, and must not be read concurrently with one. Callers that need
-// an immutable view take copy-on-write shares of the sets (package
-// antgrass's Snapshot does exactly that).
+// an immutable view take copy-on-write shares of the sets while the Live
+// is kept, or frozen copies of them (pts.Freeze) when it is dropped:
+// package antgrass's Snapshot does both.
 func (l *Live) Result() *Result {
 	return NewResult(l.prog, l.g.nodes, l.g.sets, *l.g.stats)
 }
 
 // Finalize applies the same post-processing a one-shot solve performs —
-// hash-consing the solution onto canonical backings and exporting the
+// hash-consing the solution onto canonical backings, one per distinct set
+// (still in the solver's pools; see SolveContext), and exporting the
 // final counters into m — so a session-backed Solve reports identically
 // to the historical pipeline. Worth calling once after the initial
 // fixpoint; skipped on update epochs, where re-hashing every set would

@@ -322,8 +322,12 @@ func SolveContext(ctx context.Context, p *constraint.Program, opts Options) (*Re
 	g.stats.SolveDuration = online
 	// Hash-cons the solution: collapse-heavy solves leave many
 	// content-equal sets behind, and folding them onto canonical backings
-	// shrinks the held footprint (reflected in MemBytes below) and makes
-	// later Result.PointsTo(...).Equal comparisons pointer-fast.
+	// leaves one backing per distinct set (reflected in MemBytes below)
+	// and makes later Result.PointsTo(...).Equal comparisons
+	// pointer-fast. The backings stay in the solver's element pools, and
+	// a share of one pins its pool chunk and, through the free list, the
+	// rest of the pool; a snapshot that outlives the solver therefore
+	// copies them out (pts.Freeze; see antgrass.Snapshot).
 	for i := 0; i < g.n; i++ {
 		if g.sets[i] != nil {
 			pts.Dedup(g.sets[i])

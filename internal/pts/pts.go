@@ -15,7 +15,10 @@
 //     a pointer compare;
 //   - hash-consed deduplication: Dedup folds content-equal sets onto one
 //     canonical backing via a factory-owned hash table (the MDE-style
-//     "deduplicate repetitive points-to data" lever).
+//     "deduplicate repetitive points-to data" lever);
+//   - freezing: Freeze copies a finished solution's sets out of the pools
+//     into one exactly sized slab, for snapshots that outlive their
+//     solver.
 //
 // A factory and every set created by it are confined to one goroutine at
 // a time: the pool, the refcounts and the dedup table are unsynchronized.
@@ -181,6 +184,61 @@ func Adopt(dst, src Set) bool {
 	sb.s.refs++
 	db.s = sb.s
 	return true
+}
+
+// Freeze replaces, in place, every bitmap set in sets with a copy that
+// shares no storage with its source factory, and leaves every other entry
+// (nil, BDD sets) as it is. It is for solutions that outlive their
+// solver: a copy-on-write share of a pooled backing pins the pool (see
+// bitmap.Slab), and a handle pins its factory, whose free list heads that
+// pool. The distinct backings are copied into one bitmap.Slab, so handles
+// that shared a backing share its copy and stay pointer-equal. Every copy
+// belongs to a fresh factory with no pool and no dedup entries, so a later
+// write to a copy never reaches the source factory or its sets. The
+// sources are only read.
+func Freeze(sets []Set) {
+	slot := map[*sharedBM]int32{} // source backing -> index of its copy
+	var srcs []*sharedBM
+	var which []int32 // per bitmap handle, in order: the index of its copy
+	elems := 0
+	for _, s := range sets {
+		bs, ok := s.(*bitmapSet)
+		if !ok {
+			continue
+		}
+		i, seen := slot[bs.s]
+		if !seen {
+			i = int32(len(srcs))
+			slot[bs.s] = i
+			srcs = append(srcs, bs.s)
+			elems += bs.s.b.Elements()
+		}
+		which = append(which, i)
+	}
+	if len(which) == 0 {
+		return
+	}
+	slab := bitmap.NewSlab(elems)
+	copies := make([]sharedBM, len(srcs))
+	for i, sh := range srcs {
+		slab.CopyTo(&copies[i].b, &sh.b)
+	}
+	hs := make([]bitmapSet, len(which))
+	var src, frozen *bitmapFactory
+	for i, s := range sets {
+		bs, ok := s.(*bitmapSet)
+		if !ok {
+			continue
+		}
+		if bs.f != src {
+			src, frozen = bs.f, &bitmapFactory{cow: bs.f.cow, dedup: map[uint64][]*sharedBM{}}
+		}
+		c := &copies[which[0]]
+		c.refs++
+		hs[0] = bitmapSet{f: frozen, s: c}
+		sets[i] = &hs[0]
+		hs, which = hs[1:], which[1:]
+	}
 }
 
 // AsBitmap returns the sparse bitmap backing s when s comes from a bitmap

@@ -8,8 +8,8 @@
 #
 #   static     — stages 1-3 (gofmt, vet, build)
 #   test       — stages 4-5 (full test suite, corpus replay by name,
-#                one pass of the offline-HCD and cycle-search
-#                microbenchmarks)
+#                one pass of the offline-HCD, cycle-search and
+#                snapshot-publish microbenchmarks)
 #   race       — stages 6-8 (race-detector passes, fuzz-seed replays,
 #                antsolve -workers 4 end-to-end vs sequential, gccheckmark
 #                smoke)
@@ -30,8 +30,9 @@
 #      (internal/oracle/testdata/corpus/) against the full solver
 #      configuration matrix — already part of stage 4, but run by name
 #      so a corpus regression is called out unmistakably in CI logs —
-#      then one iteration of the hcd.Analyze and scc.Searcher
-#      microbenchmarks, so they keep building and running;
+#      then one iteration of the hcd.Analyze, scc.Searcher and
+#      snapshot-publish (BenchmarkPublish) microbenchmarks, so they keep
+#      building and running;
 #   6. a race-detector pass over the concurrency-bearing packages
 #      (internal/par, internal/core, internal/worklist, internal/metrics)
 #      in -short mode, so the parallel engine's owner goroutines and
@@ -44,14 +45,16 @@
 #      pins the parallel engine and the reduction passes — and an
 #      end-to-end antsolve run: the same workload solved sequentially and
 #      with -workers 4, gating on byte-identical points-to solutions;
-#   7. a GODEBUG=gccheckmark=1 smoke run of the pool and COW tests:
-#      checkmark mode re-marks the heap after every GC cycle and aborts
-#      on any object the concurrent mark missed, so a pooled element
-#      reachable only through recycled free-list links, or a shared
-#      backing freed while a COW handle still references it, fails loudly
-#      here instead of corrupting a long solve;
+#   7. a GODEBUG=gccheckmark=1 smoke run of the pool, COW and freeze
+#      tests: checkmark mode re-marks the heap after every GC cycle and
+#      aborts on any object the concurrent mark missed, so a pooled
+#      element reachable only through recycled free-list links, a shared
+#      backing freed while a COW handle still references it, or a frozen
+#      slab reachable only through a stale link, fails loudly here
+#      instead of corrupting a long solve;
 #   8. a -race pass over the Session/Snapshot query-storm and oracle
-#      tests in the root package plus the serve handler tests — the
+#      tests in the root package, the query storm over a frozen one-shot
+#      Result at 0 and 2 workers, plus the serve handler tests — the
 #      lock-free concurrent-reader path of the daemon under the race
 #      detector — and the mid-solve deadline test, which holds the
 #      sequential and parallel solvers to prompt cancellation even when
@@ -128,8 +131,8 @@ if want test; then
 	echo "==> go test -run 'TestCorpus|TestHCDRegressionSeed' -count=1 ./internal/oracle ./internal/hcd ./internal/core"
 	go test -run 'TestCorpus|TestHCDRegressionSeed' -count=1 ./internal/oracle ./internal/hcd ./internal/core
 
-	echo "==> go test -run '^\$' -bench 'BenchmarkAnalyze|BenchmarkSearch' -benchtime 1x ./internal/hcd ./internal/scc"
-	go test -run '^$' -bench 'BenchmarkAnalyze|BenchmarkSearch' -benchtime 1x ./internal/hcd ./internal/scc
+	echo "==> go test -run '^\$' -bench 'BenchmarkAnalyze|BenchmarkSearch|BenchmarkPublish' -benchtime 1x ./internal/hcd ./internal/scc ."
+	go test -run '^$' -bench 'BenchmarkAnalyze|BenchmarkSearch|BenchmarkPublish' -benchtime 1x ./internal/hcd ./internal/scc .
 fi
 
 if want race; then
@@ -171,11 +174,11 @@ if want race; then
 	echo "parallel solution matches sequential ($(wc -l <"$pardir/seq.sol") non-empty sets)"
 	rm -rf "$pardir"
 
-	echo "==> GODEBUG=gccheckmark=1 go test -count=1 -run 'TestPool|TestPooled|TestCursor|TestCOW|TestRelease|TestDedup' ./internal/bitmap ./internal/pts"
-	GODEBUG=gccheckmark=1 go test -count=1 -run 'TestPool|TestPooled|TestCursor|TestCOW|TestRelease|TestDedup' ./internal/bitmap ./internal/pts
+	echo "==> GODEBUG=gccheckmark=1 go test -count=1 -run 'TestPool|TestPooled|TestCursor|TestCOW|TestRelease|TestDedup|TestFreeze|TestSlab' ./internal/bitmap ./internal/pts"
+	GODEBUG=gccheckmark=1 go test -count=1 -run 'TestPool|TestPooled|TestCursor|TestCOW|TestRelease|TestDedup|TestFreeze|TestSlab' ./internal/bitmap ./internal/pts
 
-	echo "==> go test -race -short -count=1 -run 'TestSession|TestServe|TestLoad|TestSolveContextDeadlineMidSolve' . ./internal/serve"
-	go test -race -short -count=1 -run 'TestSession|TestServe|TestLoad|TestSolveContextDeadlineMidSolve' . ./internal/serve
+	echo "==> go test -race -short -count=1 -run 'TestSession|TestFrozenResultQueryStorm|TestServe|TestLoad|TestSolveContextDeadlineMidSolve' . ./internal/serve"
+	go test -race -short -count=1 -run 'TestSession|TestFrozenResultQueryStorm|TestServe|TestLoad|TestSolveContextDeadlineMidSolve' . ./internal/serve
 fi
 
 if want serve; then

@@ -94,12 +94,20 @@ func (d Delta) Empty() bool {
 // Snapshot is an immutable view of one solved epoch. Any number of
 // goroutines may query a Snapshot concurrently while the owning Session
 // keeps solving updates: with the bitmap representation the snapshot
-// holds copy-on-write shares of the solution's backing bitmaps and reads
-// them only through cache-free kernels, so queries are lock-free; a
-// writer that needs to grow a shared set clones it first and the
-// snapshot's view never changes. (BDD-backed snapshots share one BDD
-// manager whose operation caches are not concurrency-safe, so their
-// queries serialize on an internal mutex.)
+// reads its sets only through cache-free kernels, so queries are
+// lock-free. (BDD-backed snapshots share one BDD manager whose operation
+// caches are not concurrency-safe, so their queries serialize on an
+// internal mutex.)
+//
+// A bitmap snapshot holds its sets in one of two ways. A resumable
+// Session's snapshots hold copy-on-write shares of the live solver's
+// backings: the Live holds those sets anyway, and a writer that needs to
+// grow a shared set clones it first, so the snapshot's view never
+// changes. Every other snapshot — Solve's, and each one a non-resumable
+// Session publishes — outlives the solver it came from, so it is frozen:
+// its sets are copied into one exactly sized slab with no pool (see
+// pts.Freeze), and it holds its solution and nothing of the solver's
+// element pools.
 //
 // A Snapshot stays valid forever — dropping every reference releases it
 // to the garbage collector.
@@ -112,10 +120,12 @@ type Snapshot struct {
 	stats Stats
 }
 
-// newSnapshot freezes res as epoch e. It runs on the session's update
-// goroutine (or the one-shot Solve goroutine): taking the copy-on-write
-// shares and compressing union-find paths are writer-side operations.
-func newSnapshot(e uint64, res *core.Result) *Snapshot {
+// newSnapshot captures res as epoch e, with frozen copies of its bitmap
+// sets when freeze is set and copy-on-write shares otherwise (see
+// Snapshot). It runs on the session's update goroutine (or the one-shot
+// Solve goroutine): taking the shares and compressing union-find paths
+// are writer-side operations.
+func newSnapshot(e uint64, res *core.Result, freeze bool) *Snapshot {
 	n := res.Prog.NumVars
 	sn := &Snapshot{
 		epoch: e,
@@ -136,12 +146,17 @@ func newSnapshot(e uint64, res *core.Result) *Snapshot {
 		if s == nil || s.Empty() {
 			continue
 		}
-		if _, ok := pts.AsBitmap(s); ok {
-			sn.sets[r] = s.SubtractCopy(nil) // COW share of the backing
-		} else {
+		if _, ok := pts.AsBitmap(s); !ok {
 			sn.ro = false
 			sn.sets[r] = s // frozen after the solve; reads serialize on mu
+		} else if freeze {
+			sn.sets[r] = s // the solver's handle, replaced by its copy below
+		} else {
+			sn.sets[r] = s.SubtractCopy(nil) // COW share of the backing
 		}
+	}
+	if freeze {
+		pts.Freeze(sn.sets)
 	}
 	return sn
 }
@@ -251,6 +266,7 @@ func (sn *Snapshot) Alias(a, b VarID) bool {
 type Session struct {
 	opts      Options
 	resumable bool
+	freeze    bool // publish frozen snapshots (see Snapshot)
 
 	mu       sync.Mutex // serializes updates and guards the fields below
 	prog     *Program   // session-owned (cloned at NewSession)
@@ -302,19 +318,22 @@ func coreLiveOptions(o Options) core.Options {
 // p is deep-copied: later edits flow exclusively through Update, and the
 // caller's program is never touched.
 func NewSession(ctx context.Context, p *Program, o Options) (*Session, error) {
-	return newSession(ctx, p.Clone(), o)
+	return newSession(ctx, p.Clone(), o, false)
 }
 
 // newSession is NewSession without the defensive clone; the one-shot
-// Solve wrapper uses it directly since its session never updates.
-func newSession(ctx context.Context, p *Program, o Options) (*Session, error) {
+// Solve wrapper uses it directly since its session never updates, and
+// sets oneShot so that its snapshot is frozen: the session and its Live
+// are dropped as soon as Solve returns.
+func newSession(ctx context.Context, p *Program, o Options, oneShot bool) (*Session, error) {
 	if o.Algorithm == "" {
 		o.Algorithm = LCD
 	}
 	if o.Pts == "" {
 		o.Pts = Bitmap
 	}
-	s := &Session{opts: o, resumable: resumableConfig(o), prog: p}
+	resumable := resumableConfig(o)
+	s := &Session{opts: o, resumable: resumable, freeze: oneShot || !resumable, prog: p}
 	if s.resumable {
 		live, err := core.NewLive(ctx, p, coreLiveOptions(o))
 		if err != nil {
@@ -334,11 +353,11 @@ func newSession(ctx context.Context, p *Program, o Options) (*Session, error) {
 	return s, nil
 }
 
-// publish freezes res as the next epoch. Callers hold s.mu (or are still
-// constructing the session).
+// publish captures res as the next epoch (see newSnapshot). Callers hold
+// s.mu (or are still constructing the session).
 func (s *Session) publish(res *core.Result) *Snapshot {
 	s.epoch++
-	sn := newSnapshot(s.epoch, res)
+	sn := newSnapshot(s.epoch, res, s.freeze)
 	s.cur.Store(sn)
 	if m := s.opts.Metrics; m != nil {
 		m.SetCounter("session_epoch", int64(s.epoch))
