@@ -392,6 +392,8 @@ func CompileGo(opts GoOptions) (*Unit, error) {
 func ReadProgram(r io.Reader) (*Program, error) { return constraint.Read(r) }
 
 // WriteProgram serializes a program in the text constraint-file format.
+// It writes nothing and returns an error if a variable's name would not
+// read back unchanged (docs/FORMAT.md, "Lines, fields and names").
 func WriteProgram(w io.Writer, p *Program) error { return constraint.Write(w, p) }
 
 // NewProgram returns an empty constraint program for manual construction.

@@ -103,6 +103,36 @@ void main(void) { sel = pick; result = sel(1); }
 	if stat1 == "" || stat1 != stat2 {
 		t.Errorf("solution statistics differ between solvers:\n%q\n%q", stat1, stat2)
 	}
+
+	// 6. A -o file that cannot be created or written fails the run with
+	// the error, instead of reporting success.
+	outs := []string{filepath.Join(dir, "missing", "out.constraints")}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		outs = append(outs, "/dev/full") // every write fails with ENOSPC
+	}
+	for _, out := range outs {
+		for _, args := range [][]string{
+			{antsynth, "-bench", "emacs", "-scale", "0.02", "-o", out},
+			{antcgen, "-o", out, csrc},
+		} {
+			if msg := runFail(t, args[0], args[1:]...); !strings.Contains(msg, out) {
+				t.Errorf("%s -o %s: stderr %q does not report the error", filepath.Base(args[0]), out, msg)
+			}
+		}
+	}
+}
+
+// runFail runs bin, fails the test unless it exits non-zero, and returns
+// its standard error.
+func runFail(t *testing.T, bin string, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil {
+		t.Errorf("%s %v: exited 0, want a failure", filepath.Base(bin), args)
+	}
+	return stderr.String()
 }
 
 func extractLine(s, prefix string) string {

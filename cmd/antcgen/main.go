@@ -52,11 +52,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
 		w = f
 	}
 	if err := antgrass.WriteProgram(w, unit.Prog); err != nil {
 		fatal(err)
+	}
+	if *out != "" {
+		if err := w.Close(); err != nil {
+			fatal(err)
+		}
 	}
 	na, nc, nl, ns := unit.Prog.Counts()
 	fmt.Fprintf(os.Stderr, "antcgen: %d vars, %d constraints (%d addr, %d copy, %d load, %d store)\n",

@@ -38,11 +38,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
 		w = f
 	}
 	if err := antgrass.WriteProgram(w, prog); err != nil {
 		fatal(err)
+	}
+	if *out != "" {
+		if err := w.Close(); err != nil {
+			fatal(err)
+		}
 	}
 	na, nc, nl, ns := prog.Counts()
 	fmt.Fprintf(os.Stderr, "antsynth: %s@%.3g: %d vars, %d constraints (%d addr, %d copy, %d load, %d store)\n",

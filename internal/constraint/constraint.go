@@ -22,6 +22,7 @@ package constraint
 import (
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // VarID identifies a program variable (equivalently, the memory location it
@@ -69,10 +70,23 @@ type Constraint struct {
 
 // String renders the constraint in file-format syntax.
 func (c Constraint) String() string {
+	var buf [40]byte // "store" and three 10-digit ids
+	return string(c.appendText(buf[:0]))
+}
+
+// appendText appends the constraint in file-format syntax to b. String
+// and Write both render through it, so the two cannot drift apart.
+func (c Constraint) appendText(b []byte) []byte {
+	b = append(b, c.Kind.String()...)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, uint64(c.Dst), 10)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, uint64(c.Src), 10)
 	if (c.Kind == Load || c.Kind == Store) && c.Offset != 0 {
-		return fmt.Sprintf("%s %d %d %d", c.Kind, c.Dst, c.Src, c.Offset)
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, uint64(c.Offset), 10)
 	}
-	return fmt.Sprintf("%s %d %d", c.Kind, c.Dst, c.Src)
+	return b
 }
 
 // Program is a complete constraint system: a variable universe plus the

@@ -128,15 +128,25 @@ func TestConstraintString(t *testing.T) {
 	}
 }
 
+// randomName is empty or one to three words joined by single spaces.
+func randomName(rng *rand.Rand) string {
+	words := []string{"", "a", "b$ret", "pkg.(T).M", "#x", "π"}
+	name := words[rng.Intn(len(words))]
+	for i := rng.Intn(3); i > 0 && name != ""; i-- {
+		name += " " + words[1+rng.Intn(len(words)-1)]
+	}
+	return name
+}
+
 func randomProgram(rng *rand.Rand) *Program {
 	p := NewProgram()
 	nf := rng.Intn(3)
 	for i := 0; i < nf; i++ {
-		p.AddFunc("", rng.Intn(4))
+		p.AddFunc(randomName(rng), rng.Intn(4))
 	}
 	nv := 2 + rng.Intn(20)
 	for i := 0; i < nv; i++ {
-		p.AddVar("")
+		p.AddVar(randomName(rng))
 	}
 	n := VarID(p.NumVars)
 	nc := rng.Intn(60)
@@ -168,25 +178,63 @@ func TestRoundTrip(t *testing.T) {
 			return false
 		}
 		q, err := Read(&buf)
-		if err != nil {
-			return false
-		}
-		if q.NumVars != p.NumVars {
-			return false
-		}
-		if !reflect.DeepEqual(q.Constraints, p.Constraints) {
-			return false
-		}
-		// Span round-trips (empty means all-ones).
-		for v := VarID(0); v < VarID(p.NumVars); v++ {
-			if p.SpanOf(v) != q.SpanOf(v) {
-				return false
-			}
-		}
-		return true
+		return err == nil && sameProgram(p, q)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// sameProgram reports whether p and q hold the same program. Write writes
+// no line for a span of 1, so a span table of all ones matches none.
+func sameProgram(p, q *Program) bool {
+	if p.NumVars != q.NumVars || !reflect.DeepEqual(p.Names, q.Names) || !reflect.DeepEqual(p.Constraints, q.Constraints) {
+		return false
+	}
+	for v := VarID(0); v < VarID(p.NumVars); v++ {
+		if p.SpanOf(v) != q.SpanOf(v) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestWriteRefusesUnreadableNames(t *testing.T) {
+	for _, name := range []string{
+		"a  b",     // doubled space
+		" a",       // leading space
+		"a ",       // trailing space
+		"a\tb",     // other ASCII white space
+		"a\u00a0b", // other Unicode white space
+		"a\nb",     // a newline would start a second line
+		"a\r",      // a carriage return would be dropped with CRLF endings
+		" \t",      // white space only
+	} {
+		p := NewProgram()
+		p.AddVar("ok")
+		p.AddVar(name)
+		var buf bytes.Buffer
+		err := Write(&buf, p)
+		if err == nil || !strings.Contains(err.Error(), "var 1") {
+			t.Errorf("Write with name %q: error %v, want one naming var 1", name, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("Write with name %q wrote %q before failing", name, buf.String())
+		}
+	}
+}
+
+func TestReadableNameIsJoinOfFields(t *testing.T) {
+	parts := []string{"a", "π", " ", "  ", "\t", "\n", "\r", "\u00a0", "\u2003", "\xff", "\xc2"}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		name := ""
+		for n := 1 + rng.Intn(5); n > 0; n-- {
+			name += parts[rng.Intn(len(parts))]
+		}
+		if got, want := readableName(name), name == strings.Join(strings.Fields(name), " "); got != want {
+			t.Fatalf("readableName(%q) = %v, want %v", name, got, want)
+		}
 	}
 }
 

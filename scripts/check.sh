@@ -8,8 +8,9 @@
 #
 #   static     — stages 1-3 (gofmt, vet, build)
 #   test       — stages 4-5 (full test suite, corpus replay by name,
-#                one pass of the offline-HCD, cycle-search and
-#                snapshot-publish microbenchmarks)
+#                one pass of the offline-HCD, cycle-search,
+#                snapshot-publish and constraint-file I/O
+#                microbenchmarks)
 #   race       — stages 6-8 (race-detector passes, fuzz-seed replays,
 #                antsolve -workers 4 end-to-end vs sequential, gccheckmark
 #                smoke)
@@ -30,8 +31,9 @@
 #      (internal/oracle/testdata/corpus/) against the full solver
 #      configuration matrix — already part of stage 4, but run by name
 #      so a corpus regression is called out unmistakably in CI logs —
-#      then one iteration of the hcd.Analyze, scc.Searcher and
-#      snapshot-publish (BenchmarkPublish) microbenchmarks, so they keep
+#      then one iteration of the hcd.Analyze, scc.Searcher,
+#      snapshot-publish (BenchmarkPublish) and constraint-file
+#      (BenchmarkRead, BenchmarkWrite) microbenchmarks, so they keep
 #      building and running;
 #   6. a race-detector pass over the concurrency-bearing packages
 #      (internal/par, internal/core, internal/worklist, internal/metrics)
@@ -131,8 +133,8 @@ if want test; then
 	echo "==> go test -run 'TestCorpus|TestHCDRegressionSeed' -count=1 ./internal/oracle ./internal/hcd ./internal/core"
 	go test -run 'TestCorpus|TestHCDRegressionSeed' -count=1 ./internal/oracle ./internal/hcd ./internal/core
 
-	echo "==> go test -run '^\$' -bench 'BenchmarkAnalyze|BenchmarkSearch|BenchmarkPublish' -benchtime 1x ./internal/hcd ./internal/scc ."
-	go test -run '^$' -bench 'BenchmarkAnalyze|BenchmarkSearch|BenchmarkPublish' -benchtime 1x ./internal/hcd ./internal/scc .
+	echo "==> go test -run '^\$' -bench 'BenchmarkAnalyze|BenchmarkSearch|BenchmarkPublish|BenchmarkRead|BenchmarkWrite' -benchtime 1x ./internal/hcd ./internal/scc . ./internal/constraint"
+	go test -run '^$' -bench 'BenchmarkAnalyze|BenchmarkSearch|BenchmarkPublish|BenchmarkRead|BenchmarkWrite' -benchtime 1x ./internal/hcd ./internal/scc . ./internal/constraint
 fi
 
 if want race; then
