@@ -22,7 +22,9 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -44,17 +46,46 @@ type Options struct {
 	IncludeTests bool
 }
 
-// loadedPackage is one typechecked package.
+// loadedPackage is one package of the import graph: what discovery found
+// out about it, and, once done is closed, what typechecking made of it.
 type loadedPackage struct {
 	path   string
-	files  []*ast.File // syntax of a target package; nil for a dependency
-	info   *types.Info // type information of files
-	pkg    *types.Package
 	target bool
+	dir    string
+	names  []string // Go files to parse, sorted
+	// deps maps each import path to its package; a nil entry is an import
+	// that closes a cycle, resolved as an error instead of waited for.
+	deps map[string]*loadedPackage
+
+	// Set by the package's own goroutine before done is closed.
+	files []*ast.File // syntax of a target package; nil for a dependency
+	info  *types.Info // type information of files
+	pkg   *types.Package
+	err   error    // the package could not be found, parsed or typechecked
+	warns []string // its typecheck errors
+	done  chan struct{}
 }
 
-// loader parses and typechecks packages from source, caching by import
-// path. It implements types.Importer: dependency packages are typechecked
+// Import implements types.Importer for p's own typecheck. p's goroutine
+// waits for every dependency before checking p, so only finished
+// packages are read.
+func (p *loadedPackage) Import(path string) (*types.Package, error) {
+	d, ok := p.deps[path]
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("gogen: %s imports %q, which discovery did not find", p.path, path)
+	case d == nil:
+		return nil, fmt.Errorf("gogen: import cycle through %q", path)
+	case d.err != nil:
+		return nil, d.err
+	}
+	return d.pkg, nil
+}
+
+// loader parses and typechecks packages from source in two phases.
+// discover walks the import graph from the targets with go/build; run then
+// typechecks every package on its own goroutine once its imports are
+// done, at most GOMAXPROCS at a time. Dependency packages are typechecked
 // with IgnoreFuncBodies (the export-data role), target packages keep full
 // type information, one types.Info per package.
 type loader struct {
@@ -65,7 +96,7 @@ type loader struct {
 	targets map[string]bool
 	tests   bool
 	pkgs    map[string]*loadedPackage
-	loading map[string]bool
+	order   []*loadedPackage // discovery post-order: imports first
 	warns   []string
 }
 
@@ -80,7 +111,6 @@ func newLoader(o Options) (*loader, error) {
 		targets: map[string]bool{},
 		tests:   o.IncludeTests,
 		pkgs:    map[string]*loadedPackage{},
-		loading: map[string]bool{},
 	}
 	if o.Dir != "" {
 		dir, err := filepath.Abs(o.Dir)
@@ -182,85 +212,143 @@ func (l *loader) dirFor(path string) (string, error) {
 	return bp.Dir, nil
 }
 
-// Import implements types.Importer for dependency resolution during
-// typechecking.
-func (l *loader) Import(path string) (*types.Package, error) {
-	p, err := l.load(path)
-	if err != nil {
-		return nil, err
-	}
-	return p.pkg, nil
-}
-
-// load parses and typechecks one package (cached). Target packages are
-// typechecked with bodies and full info; dependencies skip function bodies
-// (go/types still resolves their declarations, the export-data role).
-// Only a target keeps its syntax trees: the generator walks nothing else,
-// so a dependency's trees are garbage once it is typechecked instead of
-// staying live, with every other package's, until the compile returns.
-func (l *loader) load(path string) (*loadedPackage, error) {
+// discover adds the package at path and, depth first, everything it
+// imports to the graph, appending each package to l.order after its
+// imports. stack holds the packages on the current walk: an import of one
+// of them closes a cycle and becomes a nil dependency, so no package
+// waits for a package that waits for it. A package that cannot be found
+// keeps its error and imports nothing; its importers see the error when
+// they typecheck, as a warning, and Compile fails on it only for a target.
+func (l *loader) discover(path string, stack map[string]bool) *loadedPackage {
+	p := &loadedPackage{path: path, target: l.targets[path], done: make(chan struct{})}
+	l.pkgs[path] = p
+	defer func() { l.order = append(l.order, p) }()
 	if path == "unsafe" {
-		return &loadedPackage{path: path, pkg: types.Unsafe}, nil
+		p.pkg = types.Unsafe
+		return p
 	}
-	if p, ok := l.pkgs[path]; ok {
-		return p, nil
-	}
-	if l.loading[path] {
-		return nil, fmt.Errorf("gogen: import cycle through %q", path)
-	}
-	l.loading[path] = true
-	defer delete(l.loading, path)
-
 	dir, err := l.dirFor(path)
 	if err != nil {
-		return nil, err
+		p.err = err
+		return p
 	}
 	bp, err := l.ctxt.ImportDir(dir, 0)
 	if err != nil {
-		return nil, fmt.Errorf("gogen: %s: %w", path, err)
+		p.err = fmt.Errorf("gogen: %s: %w", path, err)
+		return p
 	}
-	target := l.targets[path]
-	names := append([]string(nil), bp.GoFiles...)
-	if target && l.tests {
-		names = append(names, bp.TestGoFiles...)
+	p.dir = dir
+	p.names = append([]string(nil), bp.GoFiles...)
+	imports := bp.Imports
+	if p.target && l.tests {
+		p.names = append(p.names, bp.TestGoFiles...)
+		imports = append(append([]string(nil), imports...), bp.TestImports...)
 	}
-	sort.Strings(names)
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+	sort.Strings(p.names)
+	l.discoverImports(p, imports, stack)
+	return p
+}
+
+// discoverImports resolves p's import paths to packages, discovering the
+// ones not seen yet.
+func (l *loader) discoverImports(p *loadedPackage, imports []string, stack map[string]bool) {
+	stack[p.path] = true
+	defer delete(stack, p.path)
+	p.deps = make(map[string]*loadedPackage, len(imports))
+	for _, imp := range imports {
+		switch d, seen := l.pkgs[imp]; {
+		case imp == "C":
+			// FakeImportC: the typechecker never asks for "C".
+		case stack[imp]:
+			p.deps[imp] = nil
+		case seen:
+			p.deps[imp] = d
+		default:
+			p.deps[imp] = l.discover(imp, stack)
+		}
+	}
+}
+
+// run typechecks every discovered package and returns once all are done.
+// Each package gets a goroutine that waits for its imports, then parses
+// and checks the package inside one of GOMAXPROCS semaphore slots, so a
+// dependency's syntax is live only while it holds a slot. A package's
+// imports precede it in l.order and cycles were cut during discovery, so
+// every wait ends. The warnings are then concatenated in l.order, which
+// no schedule changes.
+func (l *loader) run() {
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for _, p := range l.order {
+		if p.pkg != nil || p.err != nil {
+			close(p.done) // unsafe, or not found: nothing to check
+			continue
+		}
+		go func() {
+			defer close(p.done)
+			for _, d := range p.deps {
+				if d != nil {
+					<-d.done
+				}
+			}
+			sem <- struct{}{}
+			l.check(p)
+			<-sem
+		}()
+	}
+	for _, p := range l.order {
+		<-p.done
+		for _, w := range p.warns {
+			if len(l.warns) < maxWarnings {
+				l.warns = append(l.warns, w)
+			}
+		}
+	}
+}
+
+// check parses p's files after any already parsed and typechecks them.
+// Target packages are typechecked with bodies and full info; dependencies
+// skip function bodies (go/types still resolves their declarations, the
+// export-data role). Only a target keeps its syntax trees: the generator
+// walks nothing else, so a dependency's trees are garbage once it is
+// typechecked instead of staying live, with every other package's, until
+// the compile returns.
+func (l *loader) check(p *loadedPackage) {
+	files := p.files
+	for _, name := range p.names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(p.dir, name), nil, parser.SkipObjectResolution)
 		if err != nil {
-			return nil, fmt.Errorf("gogen: parsing %s: %w", name, err)
+			p.err = fmt.Errorf("gogen: parsing %s: %w", name, err)
+			return
 		}
 		files = append(files, f)
 	}
 	info := (*types.Info)(nil)
-	if target {
+	if p.target {
 		info = newInfo()
 	}
 	conf := types.Config{
-		Importer:         l,
+		Importer:         p,
 		FakeImportC:      true,
-		IgnoreFuncBodies: !target,
+		IgnoreFuncBodies: !p.target,
 		// Typechecking is lenient: real code bases (and the standard
 		// library under a foreign build configuration) can produce
 		// harmless errors; the generator treats expressions without type
 		// information conservatively. Errors are surfaced as warnings.
 		Error: func(err error) {
-			if len(l.warns) < maxWarnings {
-				l.warns = append(l.warns, "typecheck: "+err.Error())
+			if len(p.warns) < maxWarnings {
+				p.warns = append(p.warns, "typecheck: "+err.Error())
 			}
 		},
 	}
-	pkg, err := conf.Check(path, l.fset, files, info)
+	pkg, err := conf.Check(p.path, l.fset, files, info)
 	if pkg == nil {
-		return nil, fmt.Errorf("gogen: typechecking %s: %v", path, err)
+		p.err = fmt.Errorf("gogen: typechecking %s: %v", p.path, err)
+		return
 	}
-	p := &loadedPackage{path: path, pkg: pkg, target: target}
-	if target {
+	p.pkg = pkg
+	if p.target {
 		p.files, p.info = files, info
 	}
-	l.pkgs[path] = p
-	return p, nil
 }
 
 // newInfo returns an empty record for the type information the generator
@@ -286,29 +374,26 @@ func (l *loader) loadSource(src string) (*loadedPackage, error) {
 		return nil, err
 	}
 	path := f.Name.Name
-	l.targets[path] = true
-	conf := types.Config{
-		Importer:    l,
-		FakeImportC: true,
-		Error: func(err error) {
-			if len(l.warns) < maxWarnings {
-				l.warns = append(l.warns, "typecheck: "+err.Error())
-			}
-		},
-	}
-	info := newInfo()
-	pkg, err := conf.Check(path, l.fset, []*ast.File{f}, info)
-	if pkg == nil {
-		return nil, fmt.Errorf("gogen: typechecking: %v", err)
-	}
-	p := &loadedPackage{path: path, files: []*ast.File{f}, info: info, pkg: pkg, target: true}
+	p := &loadedPackage{path: path, target: true, files: []*ast.File{f}, done: make(chan struct{})}
 	l.pkgs[path] = p
+	var imports []string
+	for _, spec := range f.Imports {
+		if imp, err := strconv.Unquote(spec.Path.Value); err == nil {
+			imports = append(imports, imp)
+		}
+	}
+	l.discoverImports(p, imports, map[string]bool{})
+	l.order = append(l.order, p)
+	l.run()
+	if p.err != nil {
+		return nil, p.err
+	}
 	return p, nil
 }
 
-// Load parses and typechecks the requested packages and returns them in
-// deterministic (sorted import path) order, each with its syntax and type
-// information.
+// loadTargets parses and typechecks the requested packages and returns
+// them in deterministic (sorted import path) order, each with its syntax
+// and type information.
 func (l *loader) loadTargets(o Options) ([]*loadedPackage, error) {
 	paths, err := l.targetPaths(o)
 	if err != nil {
@@ -320,13 +405,19 @@ func (l *loader) loadTargets(o Options) ([]*loadedPackage, error) {
 	for _, p := range paths {
 		l.targets[p] = true
 	}
-	var out []*loadedPackage
+	stack := map[string]bool{}
 	for _, p := range paths {
-		lp, err := l.load(p)
-		if err != nil {
-			return nil, err
+		if _, seen := l.pkgs[p]; !seen {
+			l.discover(p, stack)
 		}
-		out = append(out, lp)
+	}
+	l.run()
+	out := make([]*loadedPackage, len(paths))
+	for i, p := range paths {
+		out[i] = l.pkgs[p]
+		if out[i].err != nil {
+			return nil, out[i].err
+		}
 	}
 	return out, nil
 }

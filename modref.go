@@ -1,6 +1,10 @@
 package antgrass
 
-import "sort"
+import (
+	"cmp"
+
+	"antgrass/internal/bitmap"
+)
 
 // ModRefInfo holds, per function, the memory locations possibly written
 // (Mod) and read (Ref) through pointer dereferences — the classic MOD/REF
@@ -45,65 +49,115 @@ func contains(sorted []VarID, x VarID) bool {
 // (direct and resolved indirect) callees' sets, propagated over the call
 // graph to a fixpoint.
 func ComputeModRef(u *Unit, r *Result, transitive bool) *ModRefInfo {
-	mod := map[string]map[VarID]bool{}
-	ref := map[string]map[VarID]bool{}
-	add := func(m map[string]map[VarID]bool, fn string, locs []VarID) {
-		if m[fn] == nil {
-			m[fn] = map[VarID]bool{}
-		}
-		for _, l := range locs {
-			m[fn][l] = true
-		}
-	}
-	for _, d := range u.DerefSites {
-		fn := d.Fn
-		if fn == "" {
-			fn = "<toplevel>"
-		}
-		if d.Write {
-			add(mod, fn, r.PointsTo(d.Ptr))
-		} else {
-			add(ref, fn, r.PointsTo(d.Ptr))
-		}
-	}
+	s := modRefSets{fns: map[string]int32{}, pool: bitmap.NewPool()}
+	s.direct(u, r.snap)
 	if transitive {
-		edges := CallGraph(u, r)
-		for changed := true; changed; {
-			changed = false
-			for _, e := range edges {
-				for l := range mod[e.Callee] {
-					if mod[e.Caller] == nil {
-						mod[e.Caller] = map[VarID]bool{}
-					}
-					if !mod[e.Caller][l] {
-						mod[e.Caller][l] = true
-						changed = true
-					}
-				}
-				for l := range ref[e.Callee] {
-					if ref[e.Caller] == nil {
-						ref[e.Caller] = map[VarID]bool{}
-					}
-					if !ref[e.Caller][l] {
-						ref[e.Caller][l] = true
-						changed = true
-					}
-				}
-			}
-		}
+		s.closeOver(CallGraph(u, r))
 	}
 	out := &ModRefInfo{Mod: map[string][]VarID{}, Ref: map[string][]VarID{}}
-	flatten := func(src map[string]map[VarID]bool, dst map[string][]VarID) {
-		for fn, set := range src {
-			locs := make([]VarID, 0, len(set))
-			for l := range set {
-				locs = append(locs, l)
+	for f, name := range s.names {
+		for w, dst := range [2]map[string][]VarID{out.Ref, out.Mod} {
+			if b := s.sets[2*f+w]; b != nil {
+				dst[name] = b.AppendTo(make([]VarID, 0, b.Count()))
 			}
-			sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
-			dst[fn] = locs
 		}
 	}
-	flatten(mod, out.Mod)
-	flatten(ref, out.Ref)
 	return out
+}
+
+// modRefSets numbers the functions of one ComputeModRef call and holds
+// their locations in bitmaps: slot 2f is function f's REF set and slot
+// 2f+1 its MOD set. A nil slot is a function with no entry in that map.
+type modRefSets struct {
+	fns   map[string]int32
+	names []string
+	sets  []*bitmap.Bitmap
+	pool  *bitmap.Pool // elements of sets, carved out in chunks
+}
+
+// fn returns the number of the named function.
+func (s *modRefSets) fn(name string) int32 {
+	f, ok := s.fns[name]
+	if !ok {
+		f = int32(len(s.names))
+		s.fns[name] = f
+		s.names = append(s.names, name)
+		s.sets = append(s.sets, nil, nil)
+	}
+	return f
+}
+
+// direct unions each function's dereferenced points-to sets into its
+// slots, once per distinct representative a slot dereferences. The sites
+// are bucketed by slot first (a counting sort), since one function's
+// sites interleave with its closures' and its reads with its writes.
+func (s *modRefSets) direct(u *Unit, sn *Snapshot) {
+	slot := make([]int32, len(u.DerefSites))
+	last, f := "", int32(-1)
+	for i, d := range u.DerefSites {
+		if f < 0 || d.Fn != last {
+			last, f = d.Fn, s.fn(cmp.Or(d.Fn, "<toplevel>"))
+		}
+		slot[i] = 2 * f
+		if d.Write {
+			slot[i]++
+		}
+	}
+	start := make([]int32, len(s.sets)+1)
+	for _, k := range slot {
+		start[k+1]++
+	}
+	for k := range s.sets {
+		start[k+1] += start[k]
+	}
+	next := append([]int32(nil), start...)
+	order := make([]int32, len(slot))
+	for i, k := range slot {
+		order[next[k]] = int32(i)
+		next[k]++
+	}
+	seen := make([]int32, sn.NumVars()) // slot+1 that last unioned each representative
+	for k := range s.sets {
+		if start[k] == start[k+1] {
+			continue
+		}
+		b := bitmap.NewIn(s.pool)
+		s.sets[k] = b
+		for _, i := range order[start[k]:start[k+1]] {
+			rep := sn.Rep(u.DerefSites[i].Ptr)
+			if int(rep) >= len(seen) || seen[rep] == int32(k)+1 {
+				continue
+			}
+			seen[rep] = int32(k) + 1
+			sn.unionInto(b, rep)
+		}
+	}
+}
+
+// closeOver makes every caller's slots absorb its callees', iterating
+// over the call edges to a fixpoint.
+func (s *modRefSets) closeOver(edges []CallEdge) {
+	type pair struct{ caller, callee int32 }
+	pairs := make([]pair, len(edges))
+	for i, e := range edges {
+		pairs[i] = pair{s.fn(e.Caller), s.fn(e.Callee)}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, e := range pairs {
+			for w := int32(0); w < 2; w++ {
+				src := s.sets[2*e.callee+w]
+				if src == nil || src.Empty() {
+					continue
+				}
+				dst := &s.sets[2*e.caller+w]
+				if *dst == nil {
+					*dst = bitmap.NewIn(s.pool)
+				}
+				if (*dst).IorWith(src) {
+					changed = true
+				}
+			}
+		}
+	}
 }

@@ -9,14 +9,16 @@
 #   static     — stages 1-3 (gofmt, vet, build)
 #   test       — stages 4-5 (full test suite, corpus replay by name,
 #                one pass of the offline-HCD, cycle-search,
-#                snapshot-publish and constraint-file I/O
-#                microbenchmarks)
+#                snapshot-publish, constraint-file I/O, Go front-end
+#                compile and MOD/REF microbenchmarks)
 #   race       — stages 6-8 (race-detector passes, fuzz-seed replays,
 #                antsolve -workers 4 end-to-end vs sequential, gccheckmark
 #                smoke)
 #   serve      — stage 9 (end-to-end daemon gate)
 #   gofrontend — stage 10 (Go front end: golden/spec/e2e/differential
-#                tests by name, then antgo self-analysis end-to-end)
+#                tests by name, the loader, golden and MOD/REF
+#                reference tests under -race, then antgo self-analysis
+#                end-to-end)
 #   memo       — stage 11 (operation memoization: the memo/pts unit tests
 #                and the memo property/fuzz-seed replays under -race, then
 #                antsolve -memo end-to-end with the solution diffed against
@@ -32,9 +34,10 @@
 #      configuration matrix — already part of stage 4, but run by name
 #      so a corpus regression is called out unmistakably in CI logs —
 #      then one iteration of the hcd.Analyze, scc.Searcher,
-#      snapshot-publish (BenchmarkPublish) and constraint-file
-#      (BenchmarkRead, BenchmarkWrite) microbenchmarks, so they keep
-#      building and running;
+#      snapshot-publish (BenchmarkPublish), constraint-file
+#      (BenchmarkRead, BenchmarkWrite), Go front-end compile
+#      (BenchmarkCompile) and MOD/REF (BenchmarkModRef) microbenchmarks,
+#      so they keep building and running;
 #   6. a race-detector pass over the concurrency-bearing packages
 #      (internal/par, internal/core, internal/worklist, internal/metrics)
 #      in -short mode, so the parallel engine's owner goroutines and
@@ -68,9 +71,15 @@
 #      query rate with zero 5xx responses;
 #  10. the Go front-end gate: the golden/spec-coverage suite, the
 #      self-analysis e2e test and the gogen differential-oracle cells by
-#      name (so a front-end regression is called out unmistakably), then
-#      antgo built and run on this repository end-to-end, failing unless
-#      it produces a non-empty call graph;
+#      name (so a front-end regression is called out unmistakably); the
+#      loader tests (one program at every GOMAXPROCS, broken
+#      dependencies, import cycles) and the golden tests under the race
+#      detector, since the loader typechecks packages concurrently; the
+#      MOD/REF reference comparison under the race detector in -short
+#      mode (the reference's transitive mode on the standard library
+#      takes tens of seconds even without it); then antgo built and run
+#      on this repository end-to-end, failing unless it produces a
+#      non-empty call graph;
 #  11. the memoization gate: the internal/memo and pts interning unit
 #      tests plus the memo property test and fuzz-seed replay under the
 #      race detector, then an end-to-end antsolve run — the same workload
@@ -133,8 +142,8 @@ if want test; then
 	echo "==> go test -run 'TestCorpus|TestHCDRegressionSeed' -count=1 ./internal/oracle ./internal/hcd ./internal/core"
 	go test -run 'TestCorpus|TestHCDRegressionSeed' -count=1 ./internal/oracle ./internal/hcd ./internal/core
 
-	echo "==> go test -run '^\$' -bench 'BenchmarkAnalyze|BenchmarkSearch|BenchmarkPublish|BenchmarkRead|BenchmarkWrite' -benchtime 1x ./internal/hcd ./internal/scc . ./internal/constraint"
-	go test -run '^$' -bench 'BenchmarkAnalyze|BenchmarkSearch|BenchmarkPublish|BenchmarkRead|BenchmarkWrite' -benchtime 1x ./internal/hcd ./internal/scc . ./internal/constraint
+	echo "==> go test -run '^\$' -bench 'BenchmarkAnalyze|BenchmarkSearch|BenchmarkPublish|BenchmarkRead|BenchmarkWrite|BenchmarkCompile\$|BenchmarkModRef' -benchtime 1x ./internal/hcd ./internal/scc . ./internal/constraint ./internal/gogen"
+	go test -run '^$' -bench 'BenchmarkAnalyze|BenchmarkSearch|BenchmarkPublish|BenchmarkRead|BenchmarkWrite|BenchmarkCompile$|BenchmarkModRef' -benchtime 1x ./internal/hcd ./internal/scc . ./internal/constraint ./internal/gogen
 fi
 
 if want race; then
@@ -228,6 +237,12 @@ if want gofrontend; then
 
 	echo "==> go test -count=1 -run TestGogenPrograms ./internal/oracle"
 	go test -count=1 -run TestGogenPrograms ./internal/oracle
+
+	echo "==> go test -race -count=1 -run 'TestCompileIndependentOfSchedule|TestLoad|TestGolden' ./internal/gogen"
+	go test -race -count=1 -run 'TestCompileIndependentOfSchedule|TestLoad|TestGolden' ./internal/gogen
+
+	echo "==> go test -race -short -count=1 -run TestModRefMatchesReference ."
+	go test -race -short -count=1 -run TestModRefMatchesReference .
 
 	echo "==> antgo end-to-end self-analysis"
 	godir=$(mktemp -d "${TMPDIR:-/tmp}/antgrass-gofrontend.XXXXXX")

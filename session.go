@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"antgrass/internal/bitmap"
 	"antgrass/internal/constraint"
 	"antgrass/internal/core"
 	"antgrass/internal/pts"
@@ -226,6 +227,26 @@ func (sn *Snapshot) Contains(v, loc VarID) bool {
 		defer sn.mu.Unlock()
 	}
 	return pts.ContainsRO(s, loc)
+}
+
+// unionInto adds the points-to set of representative rep to dst. A bitmap
+// snapshot's sets are read in place, lock-free (IorWith only reads its
+// argument); any other representation is read under mu.
+func (sn *Snapshot) unionInto(dst *bitmap.Bitmap, rep VarID) {
+	s := sn.sets[rep]
+	if s == nil {
+		return
+	}
+	if b, ok := pts.AsBitmap(s); ok && sn.ro {
+		dst.IorWith(b)
+		return
+	}
+	sn.mu.Lock()
+	defer sn.mu.Unlock()
+	s.ForEach(func(x uint32) bool {
+		dst.Set(x)
+		return true
+	})
 }
 
 // Result wraps sn in the Result query API, pinning client analyses
