@@ -23,12 +23,12 @@ const (
 	backingBytes = 96
 )
 
-// analyticBytes is the size of sn's solution: its representative table,
-// its set slots, the distinct elements of its bitmap sets and a header per
-// handle and per distinct backing.
+// analyticBytes is the size of sn's solution: its representative and slot
+// tables, one set slot per non-empty solution, the distinct elements of
+// its bitmap sets and a header per handle and per distinct backing.
 func analyticBytes(sn *Snapshot) int64 {
 	n := int64(len(sn.reps))
-	size := 4*n + 16*n
+	size := 4*n + 4*n + 16*int64(len(sn.sets))
 	seen := map[*bitmap.Bitmap]bool{}
 	for _, s := range sn.sets {
 		b, ok := pts.AsBitmap(s)

@@ -1,10 +1,10 @@
-// Package hvn implements the offline value-numbering tier of Hardekopf and
+// Package hvn implements offline value numbering: the OVS pre-processing
+// step of the paper (§5.1) and the HVN and HU passes of Hardekopf and
 // Lin's companion paper, "Exploiting Pointer and Location Equivalence to
-// Optimize Pointer Analysis" (SAS 2007): HVN (hash-based value numbering)
-// and HU (Heintze–Ullman style union evaluation), run in front of OVS to
-// shrink the constraint system before any solver sees it.
+// Optimize Pointer Analysis" (SAS 2007). All three are one engine, Run,
+// with two switches (Pass); internal/ovs wraps the OVS setting.
 //
-// Both passes assign every variable a pointer-equivalence label such that
+// Every pass assigns each variable a pointer-equivalence label such that
 // equal labels imply provably identical final points-to sets; variables
 // sharing a label are then unified, and variables whose label is the
 // distinguished ∅ label 0 (provably empty points-to set) have their
@@ -18,9 +18,9 @@
 // and edges
 //
 //	a = &b   adr(b) → a
-//	a = b    b → a, plus the implicit edge ref(b) → ref(a): pts(a) ⊇ pts(b)
-//	         implies that everything readable through a includes everything
-//	         readable through b
+//	a = b    b → a, plus (Pass.Implicit: HVN and HU) the implicit edge
+//	         ref(b) → ref(a): pts(a) ⊇ pts(b) implies that everything
+//	         readable through a includes everything readable through b
 //	a = *b   ref(b) → a (offset 0 only; an offset dereference lands on
 //	         function slots the offline graph cannot resolve, so a is
 //	         marked indirect instead)
@@ -39,30 +39,42 @@
 // online, and an SCC of ref nodes (mutual implicit edges) dereferences
 // pointers with mutually-included points-to sets.
 //
-// HVN labels direct nodes by the set of labels reaching them: the empty
-// set is label 0, a singleton reuses its one label (collapsing copy
+// OVS and HVN label direct nodes by the set of labels reaching them: the
+// empty set is label 0, a singleton reuses its one label (collapsing copy
 // chains off indirect nodes), and larger sets are hash-consed so equal
-// sets share one label. HU is strictly stronger: instead of comparing
-// label *sets* symbolically it evaluates the unions, computing for every
-// node a set over location atoms (one per adr node) and fresh atoms (one
-// per indirect SCC), and interning the evaluated sets — so a ⊇ {x,y}
-// reached directly and through an intermediate copy compare equal, which
-// HVN's unevaluated sets cannot see.
+// sets share one label. HU (Pass.Union) is strictly stronger: instead of
+// comparing label *sets* symbolically it evaluates the unions, over one
+// atom per adr node and per indirect SCC, so a ⊇ {x,y} reached directly
+// and through an intermediate copy compare equal, which HVN's unevaluated
+// sets cannot see.
 //
-// Reduce rewrites the constraints through the unification map exactly like
-// internal/ovs (whose pass runs downstream and composes through the same
-// PreUnions mechanism) and reports merged-variable / dropped-constraint
-// counts for the metrics and bench layers.
+// HU evaluates only what it must. An adr node or indirect SCC adds a
+// fresh atom, so its set differs from every set numbered before it and
+// takes a new label unseen; a node with one distinct input label shares
+// it. A union of several inputs contains each input's set, and a set
+// that holds a fresh atom contains the whole set the atom was minted
+// with. So if the union equals an earlier fresh set F, the input holding
+// F's atom lies between F and the union and equals both: a union equals
+// an earlier fresh set only if it equals its widest input, which a count
+// decides. Only the remaining unions are interned, and only their
+// inputs' sets, with the sets those are built from, are ever
+// materialized.
+//
+// The engine numbers the graph in one pass: a Tarjan search over the
+// predecessor graph, stored as flat offset and edge arrays, completes
+// components sources first and labels each as it completes. Run then
+// rewrites the constraints through the unification map and reports
+// merged-variable / dropped-constraint counts for the metrics and bench
+// layers. Passes compose through their PreUnions.
 package hvn
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"antgrass/internal/bitmap"
 	"antgrass/internal/constraint"
 	"antgrass/internal/hcd"
-	"antgrass/internal/scc"
 )
 
 // Result is the outcome of one value-numbering pass.
@@ -70,7 +82,8 @@ type Result struct {
 	// Reduced is the rewritten program (same variable universe).
 	Reduced *constraint.Program
 	// PreUnions lists variable pairs the solver must union before
-	// solving, so queries on any original variable keep working.
+	// solving, so queries on any original variable keep working. Groups
+	// appear in the order of their smallest member, which leads.
 	PreUnions [][2]uint32
 	// Before and After are the constraint counts on either side of the
 	// pass (After reflects deduplication too).
@@ -82,7 +95,7 @@ type Result struct {
 	NonPointerVars int
 	// DroppedConstraints counts constraints deleted because an operand
 	// was a non-pointer (plus copies made self-loops by unification);
-	// duplicates removed by Dedup are visible in Before/After only.
+	// duplicates the rewrite drops are visible in Before/After only.
 	DroppedConstraints int
 	// HU records whether union evaluation was enabled.
 	HU bool
@@ -104,12 +117,19 @@ func (r *Result) ReductionPercent() float64 {
 	return 100 * float64(r.Before-r.After) / float64(r.Before)
 }
 
-const emptyLabel = int32(0)
+// Pass selects the variant Run numbers with. The zero Pass is OVS.
+type Pass struct {
+	// Implicit adds the edge ref(b) → ref(a) for every copy a = b (HVN
+	// and HU).
+	Implicit bool
+	// Union evaluates unions instead of hash-consing label sets (HU).
+	Union bool
+}
 
 // labelSetHash and setHash are the hash functions behind label-set
-// hash-consing (HVN) and evaluated-set interning (HU). They are variables
-// so tests can force collisions and prove the equality fallback correct;
-// both tables compare full contents on a hash hit.
+// hash-consing and evaluated-set interning. They are variables so tests
+// can force collisions and prove the equality fallback correct; both
+// tables compare full contents on a hash hit.
 var (
 	labelSetHash = fnvLabels
 	setHash      = func(b *bitmap.Bitmap) uint64 { return b.Hash() }
@@ -129,289 +149,459 @@ func fnvLabels(elems []int32) uint64 {
 	return h
 }
 
-// consEntry is one hash-cons bucket member: a sorted label set and the
-// label standing for it.
-type consEntry struct {
-	elems []int32
-	label int32
-}
-
-// setEntry is one HU intern-table bucket member.
-type setEntry struct {
-	set   *bitmap.Bitmap
-	label int32
-}
-
-// Reduce runs one value-numbering pass on p (HVN when hu is false, HU when
-// true). p is not modified. Passes compose: feeding one pass's Reduced
-// program to the next and concatenating their PreUnions preserves the
-// solution of the original program over the original variable ids.
+// Reduce runs HVN on p, or HU when hu is set. p is not modified. Passes
+// compose: feeding one pass's Reduced program to the next and
+// concatenating their PreUnions preserves the solution of the original
+// program over the original variable ids.
 func Reduce(p *constraint.Program, hu bool) *Result {
-	start := time.Now()
-	n := uint32(p.NumVars)
-	total := 3 * n // v, ref(v) = n+v, adr(v) = 2n+v
+	return Run(p, Pass{Implicit: true, Union: hu})
+}
 
-	// Indirect nodes receive values the offline graph cannot see.
-	indirect := make([]bool, total)
-	for v := n; v < 2*n; v++ {
-		indirect[v] = true // all ref nodes
+// Run numbers p under pass and rewrites it. p is not modified.
+func Run(p *constraint.Program, pass Pass) *Result {
+	start := time.Now()
+	e := newEngine(p, pass)
+	e.number()
+	res := e.rewrite(p)
+	res.HU = pass.Union
+	res.Duration = time.Since(start)
+	return res
+}
+
+// consEntry is one hash-consed label set, elems[lo:hi], and its label.
+type consEntry struct{ lo, hi, label int32 }
+
+// engine holds one pass's graph and labels. Nodes are numbered as in the
+// package comment; only variable and ref nodes are searched, and an adr
+// node is labeled when the graph is built.
+type engine struct {
+	n        uint32
+	union    bool
+	off      []int32  // node x's predecessors are in[off[x]:off[x+1]]
+	in       []uint32 // predecessor nodes
+	indirect []bool   // per variable
+	label    []int32  // per node; -1 until numbered
+	next     int32    // the next unused label
+
+	stamp  []int32 // label → the last scan that listed it
+	serial int32
+	inputs []int32 // the distinct input labels of the component at hand
+
+	// OVS and HVN: hash-consed label sets, back to back in elems.
+	cons  map[uint64][]consEntry
+	elems []int32
+
+	// HU: sets[l] is label l's evaluated set, nil until needed. A label
+	// minted for an adr node or an indirect component has the inputs
+	// freshIn[freshEnd[l-1]:freshEnd[l]]; a union label has none, since
+	// its set is built when it is minted.
+	sets     []*bitmap.Bitmap
+	freshEnd []int32
+	freshIn  []int32
+	interned map[uint64][]int32 // union labels by set hash
+	todo     []int32
+}
+
+// newEngine builds p's predecessor graph in two counting passes, marks
+// the indirect variables and labels the adr node of every address-taken
+// variable.
+func newEngine(p *constraint.Program, pass Pass) *engine {
+	n := uint32(p.NumVars)
+	e := &engine{
+		n:        n,
+		union:    pass.Union,
+		indirect: make([]bool, n),
+		label:    make([]int32, 3*n),
+		next:     1,
+		stamp:    make([]int32, 3*n+1), // at most one label per adr node and per component
+	}
+	for i := range e.label {
+		e.label[i] = -1
+	}
+	if e.union {
+		e.sets = []*bitmap.Bitmap{nil}
+		e.freshEnd = []int32{0}
+		e.interned = make(map[uint64][]int32)
+	} else {
+		e.cons = make(map[uint64][]consEntry)
 	}
 	// Function return/parameter slots are targets of offset constraints.
 	for v := uint32(0); v < n; v++ {
-		if s := p.SpanOf(v); s > 1 {
-			for k := uint32(1); k < s; k++ {
-				indirect[v+k] = true
-			}
+		for k := uint32(1); k < p.SpanOf(v); k++ {
+			e.indirect[v+k] = true
 		}
 	}
-	succs := make([][]uint32, total)
-	preds := make([][]uint32, total)
-	addEdge := func(from, to uint32) {
-		succs[from] = append(succs[from], to)
-		preds[to] = append(preds[to], from)
-	}
+	// off[x] counts x's predecessors, then (prefix sums) ends them; the
+	// fill below walks each back to its start.
+	nodes := 2 * n
+	e.off = make([]int32, nodes+1)
 	for _, c := range p.Constraints {
 		switch c.Kind {
 		case constraint.AddrOf:
-			indirect[c.Src] = true // address-taken
-			addEdge(2*n+c.Src, c.Dst)
+			e.indirect[c.Src] = true // address-taken
+			if a := 2*n + c.Src; e.label[a] < 0 {
+				e.label[a] = e.mint(nil)
+			}
+			e.off[c.Dst]++
 		case constraint.Copy:
-			addEdge(c.Src, c.Dst)
-			addEdge(n+c.Src, n+c.Dst) // implicit
+			e.off[c.Dst]++
+			if pass.Implicit {
+				e.off[n+c.Dst]++
+			}
 		case constraint.Load:
 			if c.Offset == 0 {
-				addEdge(n+c.Src, c.Dst)
+				e.off[c.Dst]++
 			} else {
-				indirect[c.Dst] = true // unpredictable source
+				e.indirect[c.Dst] = true // unpredictable source
 			}
 		case constraint.Store:
 			// No offline edge; see the package comment.
 		}
 	}
-
-	// Condense and label in topological (predecessors-first) order.
-	comps := scc.Tarjan(int(total), nil, func(x uint32) []uint32 { return succs[x] })
-	label := make([]int32, total)
-	for i := range label {
-		label[i] = -1
+	for x := uint32(1); x < nodes; x++ {
+		e.off[x] += e.off[x-1]
 	}
-	nextLabel := int32(1)
-
-	cons := make(map[uint64][]consEntry) // HVN hash-cons table
-	consLabel := func(peSet map[int32]struct{}) int32 {
-		elems := make([]int32, 0, len(peSet))
-		for l := range peSet {
-			elems = append(elems, l)
-		}
-		sort.Slice(elems, func(i, j int) bool { return elems[i] < elems[j] })
-		h := labelSetHash(elems)
-		for _, e := range cons[h] {
-			if labelsEqual(e.elems, elems) {
-				return e.label
-			}
-		}
-		l := nextLabel
-		nextLabel++
-		cons[h] = append(cons[h], consEntry{elems, l})
-		return l
+	if nodes > 0 {
+		e.off[nodes] = e.off[nodes-1]
 	}
-
-	var (
-		sets     []*bitmap.Bitmap      // HU per-node evaluated sets
-		interned map[uint64][]setEntry // HU intern table
-		nextAtom uint32                // HU atom namespace
-	)
-	if hu {
-		sets = make([]*bitmap.Bitmap, total)
-		interned = make(map[uint64][]setEntry)
+	e.in = make([]uint32, e.off[nodes])
+	edge := func(from, to uint32) {
+		e.off[to]--
+		e.in[e.off[to]] = from
 	}
-	internSet := func(b *bitmap.Bitmap) int32 {
-		h := setHash(b)
-		for _, e := range interned[h] {
-			if e.set.Equal(b) {
-				return e.label
-			}
-		}
-		l := nextLabel
-		nextLabel++
-		interned[h] = append(interned[h], setEntry{b, l})
-		return l
-	}
-
-	for i := len(comps.Comps) - 1; i >= 0; i-- {
-		comp := comps.Comps[i]
-		// adr nodes have no predecessors, so they are always singleton
-		// components; each is its own location.
-		isAdr := comp[0] >= 2*n
-
-		if hu {
-			set := bitmap.New()
-			if isAdr {
-				set.Set(nextAtom) // the location atom for this adr node
-				nextAtom++
-			} else {
-				ind := false
-				for _, m := range comp {
-					if indirect[m] {
-						ind = true
-						break
-					}
-				}
-				if ind {
-					set.Set(nextAtom) // fresh: stands for the unseen part
-					nextAtom++
-				}
-				for _, m := range comp {
-					for _, pr := range preds[m] {
-						// Same-component predecessors are still nil:
-						// their final set is this one, so the union is
-						// a no-op. External predecessors are complete
-						// (reverse topological order).
-						if sets[pr] != nil {
-							set.IorWith(sets[pr])
-						}
-					}
-				}
-			}
-			l := emptyLabel
-			if !set.Empty() {
-				l = internSet(set)
-			}
-			for _, m := range comp {
-				sets[m] = set
-				label[m] = l
-			}
-			continue
-		}
-
-		// HVN.
-		if isAdr {
-			label[comp[0]] = nextLabel // unique location label
-			nextLabel++
-			continue
-		}
-		// Indirectness is contagious within a component.
-		ind := false
-		for _, m := range comp {
-			if indirect[m] {
-				ind = true
-				break
-			}
-		}
-		if ind {
-			l := nextLabel
-			nextLabel++
-			for _, m := range comp {
-				label[m] = l
-			}
-			continue
-		}
-		peSet := map[int32]struct{}{}
-		for _, m := range comp {
-			for _, pr := range preds[m] {
-				// Same-component preds still carry -1, and the empty
-				// label contributes nothing.
-				if l := label[pr]; l > emptyLabel {
-					peSet[l] = struct{}{}
-				}
-			}
-		}
-		var l int32
-		switch len(peSet) {
-		case 0:
-			l = emptyLabel
-		case 1:
-			for only := range peSet {
-				l = only
-			}
-		default:
-			l = consLabel(peSet)
-		}
-		for _, m := range comp {
-			label[m] = l
-		}
-	}
-
-	// Unify variables (not refs/adrs) sharing a label, deterministically:
-	// groups are visited in order of their first member, and the first
-	// (smallest-id) member leads.
-	res := &Result{Before: len(p.Constraints), HU: hu}
-	groups := make(map[int32][]uint32)
-	var order []int32
-	for v := uint32(0); v < n; v++ {
-		l := label[v]
-		if l == emptyLabel {
-			res.NonPointerVars++
-			continue
-		}
-		if _, ok := groups[l]; !ok {
-			order = append(order, l)
-		}
-		groups[l] = append(groups[l], v)
-	}
-	rep := make([]uint32, n)
-	for v := range rep {
-		rep[v] = uint32(v)
-	}
-	for _, l := range order {
-		g := groups[l]
-		if len(g) < 2 {
-			continue
-		}
-		for _, v := range g[1:] {
-			rep[v] = g[0]
-			res.PreUnions = append(res.PreUnions, [2]uint32{g[0], v})
-		}
-		res.MergedVars += len(g) - 1
-	}
-
-	// Rewrite the constraints. AddrOf sources are locations, never
-	// rewritten: points-to sets keep original ids (and spans).
-	out := p.Clone()
-	out.Constraints = out.Constraints[:0]
 	for _, c := range p.Constraints {
 		switch c.Kind {
 		case constraint.AddrOf:
-			out.AddAddrOf(rep[c.Dst], c.Src)
+			edge(2*n+c.Src, c.Dst)
 		case constraint.Copy:
-			if label[c.Src] == emptyLabel {
-				res.DroppedConstraints++
-				continue
+			edge(c.Src, c.Dst)
+			if pass.Implicit {
+				edge(n+c.Src, n+c.Dst)
 			}
-			if rep[c.Dst] == rep[c.Src] {
-				res.DroppedConstraints++ // provably equal already
-				continue
-			}
-			out.AddCopy(rep[c.Dst], rep[c.Src])
 		case constraint.Load:
-			if label[c.Src] == emptyLabel {
+			if c.Offset == 0 {
+				edge(n+c.Src, c.Dst)
+			}
+		}
+	}
+	return e
+}
+
+// mint returns a new label. Under HU, inputs are the labels a fresh
+// atom's set unites with it.
+func (e *engine) mint(inputs []int32) int32 {
+	l := e.next
+	e.next++
+	if e.union {
+		e.freshIn = append(e.freshIn, inputs...)
+		e.freshEnd = append(e.freshEnd, int32(len(e.freshIn)))
+		e.sets = append(e.sets, nil)
+	}
+	return l
+}
+
+// frame is one node of the search path and the next predecessor to scan.
+type frame struct {
+	v  uint32
+	at int32
+}
+
+// number labels every variable, and every ref node that reaches one, with
+// Tarjan's algorithm over the predecessor graph. Components complete in
+// reverse topological order of that graph, which is topological order of
+// the constraint graph, so a component's external inputs are all labeled
+// when it completes; predecessors still unlabeled are its own members.
+func (e *engine) number() {
+	nodes := 2 * e.n
+	idx := make([]int32, nodes) // discovery number, 0 until visited
+	low := make([]int32, nodes)
+	var (
+		stack []uint32
+		path  []frame
+		count int32
+	)
+	visit := func(v uint32) {
+		count++
+		idx[v], low[v] = count, count
+		stack = append(stack, v)
+		path = append(path, frame{v, e.off[v]})
+	}
+	for root := uint32(0); root < e.n; root++ {
+		if idx[root] != 0 {
+			continue
+		}
+		visit(root)
+		for len(path) > 0 {
+			f := &path[len(path)-1]
+			v := f.v
+			if f.at < e.off[v+1] {
+				w := e.in[f.at]
+				f.at++
+				switch {
+				case w >= nodes: // an adr node, labeled already
+				case idx[w] == 0:
+					visit(w)
+				case e.label[w] < 0 && idx[w] < low[v]: // on the stack
+					low[v] = idx[w]
+				}
+				continue
+			}
+			path = path[:len(path)-1]
+			if low[v] == idx[v] {
+				k := len(stack) - 1
+				for stack[k] != v {
+					k--
+				}
+				e.labelComponent(stack[k:])
+				stack = stack[:k]
+			} else if u := path[len(path)-1].v; low[v] < low[u] {
+				low[u] = low[v]
+			}
+		}
+	}
+}
+
+// labelComponent labels one completed component.
+func (e *engine) labelComponent(members []uint32) {
+	fresh := false
+	for _, m := range members {
+		if m >= e.n || e.indirect[m] {
+			fresh = true // indirectness is contagious within a component
+			break
+		}
+	}
+	var l int32
+	if fresh && !e.union {
+		l = e.mint(nil)
+	} else {
+		in := e.distinctInputs(members)
+		switch {
+		case fresh:
+			l = e.mint(in)
+		case len(in) == 0:
+			l = 0
+		case len(in) == 1:
+			l = in[0]
+		case e.union:
+			l = e.unionLabel(in)
+		default:
+			l = e.consLabel(in)
+		}
+	}
+	for _, m := range members {
+		e.label[m] = l
+	}
+}
+
+// distinctInputs returns the distinct non-zero labels of the members'
+// predecessors, in a buffer reused by the next call.
+func (e *engine) distinctInputs(members []uint32) []int32 {
+	e.serial++
+	in := e.inputs[:0]
+	for _, m := range members {
+		for _, w := range e.in[e.off[m]:e.off[m+1]] {
+			if l := e.label[w]; l > 0 && e.stamp[l] != e.serial {
+				e.stamp[l] = e.serial
+				in = append(in, l)
+			}
+		}
+	}
+	e.inputs = in
+	return in
+}
+
+// consLabel hash-conses a set of two or more labels into one label.
+func (e *engine) consLabel(in []int32) int32 {
+	slices.Sort(in)
+	h := labelSetHash(in)
+	for _, c := range e.cons[h] {
+		if slices.Equal(e.elems[c.lo:c.hi], in) {
+			return c.label
+		}
+	}
+	l := e.mint(nil)
+	lo := int32(len(e.elems))
+	e.elems = append(e.elems, in...)
+	e.cons[h] = append(e.cons[h], consEntry{lo, int32(len(e.elems)), l})
+	return l
+}
+
+// unionLabel labels the union of two or more input labels' sets (HU).
+func (e *engine) unionLabel(in []int32) int32 {
+	e.build(in)
+	u := bitmap.New()
+	widest, most := int32(0), -1
+	for _, l := range in {
+		u.IorWith(e.sets[l])
+		if c := e.sets[l].Count(); c > most {
+			widest, most = l, c
+		}
+	}
+	if u.Count() == most {
+		return widest // the union adds nothing to its widest input
+	}
+	h := setHash(u)
+	for _, l := range e.interned[h] {
+		if e.sets[l].Equal(u) {
+			return l
+		}
+	}
+	l := e.mint(nil)
+	e.sets[l] = u
+	e.interned[h] = append(e.interned[h], l)
+	return l
+}
+
+// build materializes the sets of the labels in ls and of every label
+// they are built from. A label's inputs are smaller than the label, so
+// building in increasing label order builds inputs first.
+func (e *engine) build(ls []int32) {
+	e.serial++
+	todo := e.todo[:0]
+	for _, l := range ls {
+		if e.sets[l] == nil && e.stamp[l] != e.serial {
+			e.stamp[l] = e.serial
+			todo = append(todo, l)
+		}
+	}
+	for i := 0; i < len(todo); i++ {
+		l := todo[i]
+		for _, x := range e.freshIn[e.freshEnd[l-1]:e.freshEnd[l]] {
+			if e.sets[x] == nil && e.stamp[x] != e.serial {
+				e.stamp[x] = e.serial
+				todo = append(todo, x)
+			}
+		}
+	}
+	slices.Sort(todo)
+	for _, l := range todo {
+		s := bitmap.New()
+		for _, x := range e.freshIn[e.freshEnd[l-1]:e.freshEnd[l]] {
+			s.IorWith(e.sets[x])
+		}
+		s.Set(uint32(l)) // the label's own atom
+		e.sets[l] = s
+	}
+	e.todo = todo
+}
+
+// rewrite unifies the variables sharing a label and rewrites p's
+// constraints through the unification.
+func (e *engine) rewrite(p *constraint.Program) *Result {
+	res := &Result{Before: len(p.Constraints)}
+	n := e.n
+	label := e.label[:n]
+	// leader[l] is the first variable labeled l; at[l] is where the
+	// pairs of l's group go, groups ordered by their leaders.
+	leader := make([]uint32, e.next)
+	at := make([]int32, e.next)
+	for v := uint32(0); v < n; v++ {
+		l := label[v]
+		if l == 0 {
+			res.NonPointerVars++
+			continue
+		}
+		if at[l] == 0 {
+			leader[l] = v
+		}
+		at[l]++
+	}
+	pairs := int32(0)
+	for v := uint32(0); v < n; v++ {
+		if l := label[v]; l != 0 && leader[l] == v {
+			size := at[l]
+			at[l] = pairs
+			pairs += size - 1
+		}
+	}
+	if pairs > 0 {
+		res.PreUnions = make([][2]uint32, pairs)
+		for v := uint32(0); v < n; v++ {
+			if l := label[v]; l != 0 && leader[l] != v {
+				res.PreUnions[at[l]] = [2]uint32{leader[l], v}
+				at[l]++
+			}
+		}
+	}
+	res.MergedVars = int(pairs)
+	rep := func(v uint32) uint32 {
+		if l := label[v]; l != 0 {
+			return leader[l]
+		}
+		return v
+	}
+
+	// AddrOf sources are locations, never rewritten: points-to sets keep
+	// original ids (and spans).
+	out := &constraint.Program{
+		NumVars:     p.NumVars,
+		Names:       append([]string(nil), p.Names...),
+		Span:        append([]uint32(nil), p.Span...),
+		Constraints: make([]constraint.Constraint, 0, len(p.Constraints)),
+	}
+	seen := newConstraintSet(len(p.Constraints))
+	for _, c := range p.Constraints {
+		switch c.Kind {
+		case constraint.AddrOf:
+			c = constraint.Constraint{Kind: constraint.AddrOf, Dst: rep(c.Dst), Src: c.Src}
+		case constraint.Copy:
+			if label[c.Src] == 0 || rep(c.Dst) == rep(c.Src) {
+				res.DroppedConstraints++ // from a provable nil, or provably equal already
+				continue
+			}
+			c = constraint.Constraint{Kind: constraint.Copy, Dst: rep(c.Dst), Src: rep(c.Src)}
+		case constraint.Load:
+			if label[c.Src] == 0 {
 				res.DroppedConstraints++ // dereferencing a provable nil
 				continue
 			}
-			out.AddLoad(rep[c.Dst], rep[c.Src], c.Offset)
+			c.Dst, c.Src = rep(c.Dst), rep(c.Src)
 		case constraint.Store:
-			if label[c.Dst] == emptyLabel || label[c.Src] == emptyLabel {
+			if label[c.Dst] == 0 || label[c.Src] == 0 {
 				res.DroppedConstraints++
 				continue
 			}
-			out.AddStore(rep[c.Dst], rep[c.Src], c.Offset)
+			c.Dst, c.Src = rep(c.Dst), rep(c.Src)
+		default:
+			continue
+		}
+		if seen.add(out.Constraints, c) {
+			out.Constraints = append(out.Constraints, c)
 		}
 	}
-	out.Dedup()
 	res.Reduced = out
 	res.After = len(out.Constraints)
-	res.Duration = time.Since(start)
 	return res
 }
 
-func labelsEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
+// constraintSet finds repeated constraints in a list being built: an
+// open-addressing table of list indices plus one, 0 for an empty slot.
+type constraintSet struct {
+	slots []uint32
+	shift uint
+}
+
+func newConstraintSet(n int) constraintSet {
+	bits := uint(1)
+	for 1<<bits < 2*n {
+		bits++
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	return constraintSet{make([]uint32, 1<<bits), 64 - bits}
+}
+
+// add reports whether c is missing from list, and if so records it as
+// list's next element.
+func (s constraintSet) add(list []constraint.Constraint, c constraint.Constraint) bool {
+	h := uint64(c.Dst)<<32 | uint64(c.Src)
+	h ^= (uint64(c.Offset)<<8 | uint64(c.Kind)) * 0xff51afd7ed558ccd
+	mask := uint64(len(s.slots) - 1)
+	for i := (h * 0x9e3779b97f4a7c15) >> s.shift; ; i = (i + 1) & mask {
+		switch at := s.slots[i]; {
+		case at == 0:
+			s.slots[i] = uint32(len(list)) + 1
+			return true
+		case list[at-1] == c:
 			return false
 		}
 	}
-	return true
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"antgrass/internal/bitmap"
 	"antgrass/internal/constraint"
 	"antgrass/internal/synth"
 )
@@ -261,9 +260,8 @@ func TestHUFixpointEvaluation(t *testing.T) {
 // checks the equality fallback still separates distinct sets (and still
 // shares equal ones).
 func TestHVNHashCollision(t *testing.T) {
-	old := labelSetHash
-	labelSetHash = func([]int32) uint64 { return 42 }
-	defer func() { labelSetHash = old }()
+	calls := 0
+	defer CollideHashes(&calls)()
 
 	p := constraint.NewProgram()
 	x := p.AddVar("x")
@@ -280,6 +278,9 @@ func TestHVNHashCollision(t *testing.T) {
 	p.AddAddrOf(c, y)
 
 	r := Reduce(p, false)
+	if calls != 3 {
+		t.Fatalf("%d label sets hashed, want 3", calls)
+	}
 	if !unioned(r, a, c) {
 		t.Fatalf("collision: equal sets {x,y} not shared; pre-unions %v", r.PreUnions)
 	}
@@ -290,9 +291,8 @@ func TestHVNHashCollision(t *testing.T) {
 
 // TestHUHashCollision is the same property for the HU intern table.
 func TestHUHashCollision(t *testing.T) {
-	old := setHash
-	setHash = func(*bitmap.Bitmap) uint64 { return 7 }
-	defer func() { setHash = old }()
+	calls := 0
+	defer CollideHashes(&calls)()
 
 	p := constraint.NewProgram()
 	x := p.AddVar("x")
@@ -309,6 +309,9 @@ func TestHUHashCollision(t *testing.T) {
 	p.AddAddrOf(c, y)
 
 	r := Reduce(p, true)
+	if calls != 3 {
+		t.Fatalf("%d evaluated sets hashed, want 3", calls)
+	}
 	if !unioned(r, a, c) {
 		t.Fatalf("collision: equal evaluated sets not interned together; pre-unions %v", r.PreUnions)
 	}

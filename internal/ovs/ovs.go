@@ -18,237 +18,24 @@
 //     union reuses its single label (collapsing copy chains), and larger
 //     unions are hash-consed so equal sets share one label.
 //
-// Constraints are then rewritten through the unification map; constraints
-// whose source (or dereferenced variable) has label 0 are deleted, as are
-// duplicates and self-copies. The solver applies the returned PreUnions
-// before solving so that queries on any original variable keep working.
+// This is internal/hvn's value-numbering engine without HVN's implicit
+// ref(b) → ref(a) edges (hvn.Pass{}). Constraints are then rewritten
+// through the unification map; constraints whose source (or dereferenced
+// variable) has label 0 are deleted, as are duplicates and self-copies.
+// The solver applies the returned PreUnions before solving so that
+// queries on any original variable keep working.
 package ovs
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-	"time"
-
 	"antgrass/internal/constraint"
-	"antgrass/internal/hcd"
-	"antgrass/internal/scc"
+	"antgrass/internal/hvn"
 )
 
-// Result is the outcome of the substitution pass.
-type Result struct {
-	// Reduced is the rewritten program (same variable universe).
-	Reduced *constraint.Program
-	// PreUnions lists variable pairs the solver must union before
-	// solving, so that every original variable resolves to the node
-	// that carries its (identical) solution.
-	PreUnions [][2]uint32
-	// Before and After are the constraint counts on either side.
-	Before, After int
-	// Duration is the pre-processing time (paper: under a second for
-	// the small benchmarks, 1-3s for the large ones).
-	Duration time.Duration
-}
-
-// PreUnionTable wraps the pre-unions in an hcd.Result so they can be handed
-// to any solver through its HCD-table hook (with no online pairs).
-func (r *Result) PreUnionTable() *hcd.Result {
-	return &hcd.Result{PreUnions: r.PreUnions}
-}
-
-// ReductionPercent returns the percentage of constraints eliminated.
-func (r *Result) ReductionPercent() float64 {
-	if r.Before == 0 {
-		return 0
-	}
-	return 100 * float64(r.Before-r.After) / float64(r.Before)
-}
-
-const emptyLabel = int32(0)
+// Result is the outcome of the substitution pass, the value-numbering
+// engine's result.
+type Result = hvn.Result
 
 // Reduce runs the substitution on p. p is not modified.
 func Reduce(p *constraint.Program) *Result {
-	start := time.Now()
-	n := uint32(p.NumVars)
-	total := 2 * n // node v = variable v; node n+v = ref(v)
-
-	// Indirect nodes receive values the offline graph cannot see.
-	indirect := make([]bool, total)
-	for v := n; v < total; v++ {
-		indirect[v] = true // all ref nodes
-	}
-	// Function return/parameter slots are targets of offset constraints.
-	for v := uint32(0); v < n; v++ {
-		if s := p.SpanOf(v); s > 1 {
-			for k := uint32(1); k < s; k++ {
-				indirect[v+k] = true
-			}
-		}
-	}
-	succs := make([][]uint32, total)
-	preds := make([][]uint32, total)
-	addEdge := func(from, to uint32) {
-		succs[from] = append(succs[from], to)
-		preds[to] = append(preds[to], from)
-	}
-	// Location labels: one per address-taken variable.
-	nextLabel := int32(1)
-	locLabel := make(map[uint32]int32)
-	addrOf := make([][]int32, total) // location labels flowing into a node
-	for _, c := range p.Constraints {
-		switch c.Kind {
-		case constraint.AddrOf:
-			indirect[c.Src] = true // address-taken
-			l, ok := locLabel[c.Src]
-			if !ok {
-				l = nextLabel
-				nextLabel++
-				locLabel[c.Src] = l
-			}
-			addrOf[c.Dst] = append(addrOf[c.Dst], l)
-		case constraint.Copy:
-			addEdge(c.Src, c.Dst)
-		case constraint.Load:
-			if c.Offset == 0 {
-				addEdge(n+c.Src, c.Dst)
-			} else {
-				indirect[c.Dst] = true // unpredictable source
-			}
-		case constraint.Store:
-			// Stores only affect address-taken variables, which
-			// are already indirect; no offline edge needed.
-		}
-	}
-
-	// Condense and label in topological (predecessors-first) order.
-	comps := scc.Tarjan(int(total), nil, func(x uint32) []uint32 { return succs[x] })
-	label := make([]int32, total)
-	for i := range label {
-		label[i] = -1
-	}
-	hashcons := make(map[string]int32)
-	for i := len(comps.Comps) - 1; i >= 0; i-- {
-		comp := comps.Comps[i]
-		// Indirectness is contagious within a component.
-		ind := false
-		for _, m := range comp {
-			if indirect[m] {
-				ind = true
-				break
-			}
-		}
-		if ind {
-			l := nextLabel
-			nextLabel++
-			for _, m := range comp {
-				label[m] = l
-			}
-			continue
-		}
-		peSet := map[int32]struct{}{}
-		for _, m := range comp {
-			for _, l := range addrOf[m] {
-				peSet[l] = struct{}{}
-			}
-			for _, pr := range preds[m] {
-				// External predecessors were labeled in an
-				// earlier (topologically smaller) component;
-				// same-component preds still carry -1 and the
-				// empty label contributes nothing.
-				if l := label[pr]; l > emptyLabel {
-					peSet[l] = struct{}{}
-				}
-			}
-		}
-		var l int32
-		switch len(peSet) {
-		case 0:
-			l = emptyLabel
-		case 1:
-			for only := range peSet {
-				l = only
-			}
-		default:
-			l = consLabel(peSet, hashcons, &nextLabel)
-		}
-		for _, m := range comp {
-			label[m] = l
-		}
-	}
-
-	// Unify variables (not refs) sharing a non-zero, non-fresh-unique
-	// label. Indirect nodes have unique labels so they never group.
-	groups := make(map[int32][]uint32)
-	for v := uint32(0); v < n; v++ {
-		if l := label[v]; l != emptyLabel {
-			groups[l] = append(groups[l], v)
-		}
-	}
-	rep := make([]uint32, n)
-	for v := range rep {
-		rep[v] = uint32(v)
-	}
-	res := &Result{Before: len(p.Constraints)}
-	for _, g := range groups {
-		if len(g) < 2 {
-			continue
-		}
-		for _, v := range g[1:] {
-			rep[v] = g[0]
-			res.PreUnions = append(res.PreUnions, [2]uint32{g[0], v})
-		}
-	}
-
-	// Rewrite the constraints.
-	out := p.Clone()
-	out.Constraints = out.Constraints[:0]
-	for _, c := range p.Constraints {
-		switch c.Kind {
-		case constraint.AddrOf:
-			out.AddAddrOf(rep[c.Dst], c.Src)
-		case constraint.Copy:
-			if label[c.Src] == emptyLabel {
-				continue
-			}
-			if rep[c.Dst] != rep[c.Src] {
-				out.AddCopy(rep[c.Dst], rep[c.Src])
-			}
-		case constraint.Load:
-			if label[c.Src] == emptyLabel {
-				continue // dereferencing a provably null pointer
-			}
-			out.AddLoad(rep[c.Dst], rep[c.Src], c.Offset)
-		case constraint.Store:
-			if label[c.Dst] == emptyLabel || label[c.Src] == emptyLabel {
-				continue
-			}
-			out.AddStore(rep[c.Dst], rep[c.Src], c.Offset)
-		}
-	}
-	out.Dedup()
-	res.Reduced = out
-	res.After = len(out.Constraints)
-	res.Duration = time.Since(start)
-	return res
-}
-
-// consLabel hash-conses a pointer-equivalence set into a label.
-func consLabel(pe map[int32]struct{}, cons map[string]int32, next *int32) int32 {
-	elems := make([]int32, 0, len(pe))
-	for l := range pe {
-		elems = append(elems, l)
-	}
-	sort.Slice(elems, func(i, j int) bool { return elems[i] < elems[j] })
-	var sb strings.Builder
-	for _, l := range elems {
-		fmt.Fprintf(&sb, "%d,", l)
-	}
-	key := sb.String()
-	if l, ok := cons[key]; ok {
-		return l
-	}
-	l := *next
-	*next++
-	cons[key] = l
-	return l
+	return hvn.Run(p, hvn.Pass{})
 }

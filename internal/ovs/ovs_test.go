@@ -1,14 +1,17 @@
 package ovs
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"antgrass/internal/constraint"
 	"antgrass/internal/core"
+	"antgrass/internal/synth"
 )
 
 // solveWithPreUnions solves a (possibly reduced) program after applying the
@@ -228,5 +231,30 @@ func TestReductionPercent(t *testing.T) {
 	}
 	if (&Result{}).ReductionPercent() != 0 {
 		t.Error("empty result should report 0")
+	}
+}
+
+// TestPreUnionsRepeat holds repeat calls on one program to the same
+// pre-unions in the same order: groups in the order of their smallest
+// member, which leads, so the pairs come out sorted.
+func TestPreUnionsRepeat(t *testing.T) {
+	prof, _ := synth.ProfileByName("ghostscript")
+	p := synth.Generate(prof.Scale(0.05))
+	first := Reduce(p).PreUnions
+	if len(first) == 0 {
+		t.Fatal("no pre-unions to compare")
+	}
+	if !slices.IsSortedFunc(first, func(a, b [2]uint32) int {
+		if a[0] != b[0] {
+			return cmp.Compare(a[0], b[0])
+		}
+		return cmp.Compare(a[1], b[1])
+	}) {
+		t.Error("pre-unions are not in the order of their groups' smallest members")
+	}
+	for i := 0; i < 20; i++ {
+		if again := Reduce(p).PreUnions; !slices.Equal(again, first) {
+			t.Fatalf("call %d: %d pre-unions differ from the first call's %d", i+2, len(again), len(first))
+		}
 	}
 }

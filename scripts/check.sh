@@ -10,7 +10,8 @@
 #   test       — stages 4-5 (full test suite, corpus replay by name,
 #                one pass of the offline-HCD, cycle-search,
 #                snapshot-publish, constraint-file I/O, Go front-end
-#                compile and MOD/REF microbenchmarks)
+#                compile, MOD/REF, offline value-numbering and
+#                call-graph microbenchmarks)
 #   race       — stages 6-8 (race-detector passes, fuzz-seed replays,
 #                antsolve -workers 4 end-to-end vs sequential, gccheckmark
 #                smoke)
@@ -36,8 +37,10 @@
 #      then one iteration of the hcd.Analyze, scc.Searcher,
 #      snapshot-publish (BenchmarkPublish), constraint-file
 #      (BenchmarkRead, BenchmarkWrite), Go front-end compile
-#      (BenchmarkCompile) and MOD/REF (BenchmarkModRef) microbenchmarks,
-#      so they keep building and running;
+#      (BenchmarkCompile), MOD/REF (BenchmarkModRef), offline
+#      value-numbering (BenchmarkReduce: HVN, HU and OVS) and call-graph
+#      (BenchmarkCallGraph) microbenchmarks, so they keep building and
+#      running;
 #   6. a race-detector pass over the concurrency-bearing packages
 #      (internal/par, internal/core, internal/worklist, internal/metrics)
 #      in -short mode, so the parallel engine's owner goroutines and
@@ -142,8 +145,8 @@ if want test; then
 	echo "==> go test -run 'TestCorpus|TestHCDRegressionSeed' -count=1 ./internal/oracle ./internal/hcd ./internal/core"
 	go test -run 'TestCorpus|TestHCDRegressionSeed' -count=1 ./internal/oracle ./internal/hcd ./internal/core
 
-	echo "==> go test -run '^\$' -bench 'BenchmarkAnalyze|BenchmarkSearch|BenchmarkPublish|BenchmarkRead|BenchmarkWrite|BenchmarkCompile\$|BenchmarkModRef' -benchtime 1x ./internal/hcd ./internal/scc . ./internal/constraint ./internal/gogen"
-	go test -run '^$' -bench 'BenchmarkAnalyze|BenchmarkSearch|BenchmarkPublish|BenchmarkRead|BenchmarkWrite|BenchmarkCompile$|BenchmarkModRef' -benchtime 1x ./internal/hcd ./internal/scc . ./internal/constraint ./internal/gogen
+	echo "==> go test -run '^\$' -bench 'BenchmarkAnalyze|BenchmarkSearch|BenchmarkPublish|BenchmarkRead|BenchmarkWrite|BenchmarkCompile\$|BenchmarkModRef|BenchmarkReduce|BenchmarkCallGraph' -benchtime 1x ./internal/hcd ./internal/scc . ./internal/constraint ./internal/gogen ./internal/hvn"
+	go test -run '^$' -bench 'BenchmarkAnalyze|BenchmarkSearch|BenchmarkPublish|BenchmarkRead|BenchmarkWrite|BenchmarkCompile$|BenchmarkModRef|BenchmarkReduce|BenchmarkCallGraph' -benchtime 1x ./internal/hcd ./internal/scc . ./internal/constraint ./internal/gogen ./internal/hvn
 fi
 
 if want race; then

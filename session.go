@@ -108,14 +108,17 @@ func (d Delta) Empty() bool {
 // Session publishes — outlives the solver it came from, so it is frozen:
 // its sets are copied into one exactly sized slab with no pool (see
 // pts.Freeze), and it holds its solution and nothing of the solver's
-// element pools.
+// element pools. Either way it keeps one set per non-empty solution,
+// found through a per-variable slot table, so variables that share a
+// representative or have empty sets cost no set of their own.
 //
 // A Snapshot stays valid forever — dropping every reference releases it
 // to the garbage collector.
 type Snapshot struct {
 	epoch uint64
 	reps  []uint32  // variable -> representative
-	sets  []pts.Set // per-representative solution view
+	slot  []uint32  // variable -> its representative's set in sets
+	sets  []pts.Set // one per non-empty solution; sets[0] is nil
 	ro    bool      // sets admit lock-free concurrent reads (bitmap)
 	mu    sync.Mutex
 	stats Stats
@@ -131,16 +134,18 @@ func newSnapshot(e uint64, res *core.Result, freeze bool) *Snapshot {
 	sn := &Snapshot{
 		epoch: e,
 		reps:  make([]uint32, n),
-		sets:  make([]pts.Set, n),
+		slot:  make([]uint32, n),
+		sets:  []pts.Set{nil},
 		ro:    true,
 		stats: res.Stats,
 	}
 	for v := 0; v < n; v++ {
 		sn.reps[v] = res.Rep(uint32(v))
 	}
+	// Representatives (their own representative) fill the slots; every
+	// other variable then shares its representative's.
 	for v := 0; v < n; v++ {
-		r := sn.reps[v]
-		if sn.sets[r] != nil {
+		if sn.reps[v] != uint32(v) {
 			continue
 		}
 		s := res.PointsTo(uint32(v))
@@ -148,13 +153,15 @@ func newSnapshot(e uint64, res *core.Result, freeze bool) *Snapshot {
 			continue
 		}
 		if _, ok := pts.AsBitmap(s); !ok {
-			sn.ro = false
-			sn.sets[r] = s // frozen after the solve; reads serialize on mu
-		} else if freeze {
-			sn.sets[r] = s // the solver's handle, replaced by its copy below
-		} else {
-			sn.sets[r] = s.SubtractCopy(nil) // COW share of the backing
-		}
+			sn.ro = false // frozen after the solve; reads serialize on mu
+		} else if !freeze {
+			s = s.SubtractCopy(nil) // COW share of the backing
+		} // else the solver's handle, replaced by its copy below
+		sn.slot[v] = uint32(len(sn.sets))
+		sn.sets = append(sn.sets, s)
+	}
+	for v, r := range sn.reps {
+		sn.slot[v] = sn.slot[r]
 	}
 	if freeze {
 		pts.Freeze(sn.sets)
@@ -183,24 +190,27 @@ func (sn *Snapshot) Rep(v VarID) VarID {
 }
 
 func (sn *Snapshot) setOf(v VarID) pts.Set {
-	if int(v) >= len(sn.reps) {
+	if int(v) >= len(sn.slot) {
 		return nil
 	}
-	return sn.sets[sn.reps[v]]
+	return sn.sets[sn.slot[v]]
 }
 
 // PointsTo returns the points-to set of v in ascending order (nil when
 // empty or out of range).
-func (sn *Snapshot) PointsTo(v VarID) []VarID {
+func (sn *Snapshot) PointsTo(v VarID) []VarID { return sn.appendPointsTo(nil, v) }
+
+// appendPointsTo appends the points-to set of v to dst in ascending order.
+func (sn *Snapshot) appendPointsTo(dst []VarID, v VarID) []VarID {
 	s := sn.setOf(v)
 	if s == nil {
-		return nil
+		return dst
 	}
 	if !sn.ro {
 		sn.mu.Lock()
 		defer sn.mu.Unlock()
 	}
-	return s.AppendTo(nil)
+	return s.AppendTo(dst)
 }
 
 // PointsToLen returns |pts(v)| without materializing the set.
@@ -233,7 +243,7 @@ func (sn *Snapshot) Contains(v, loc VarID) bool {
 // snapshot's sets are read in place, lock-free (IorWith only reads its
 // argument); any other representation is read under mu.
 func (sn *Snapshot) unionInto(dst *bitmap.Bitmap, rep VarID) {
-	s := sn.sets[rep]
+	s := sn.sets[sn.slot[rep]]
 	if s == nil {
 		return
 	}
